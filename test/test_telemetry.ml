@@ -844,6 +844,87 @@ let test_diff_identical_mode () =
          && String.sub f.metric 0 10 = "identical:")
        report.Bench_diff.findings)
 
+(* --- golden report: every gate fires in one comparison --- *)
+
+let with_fields extra s =
+  match s with Json.Object fields -> Json.Object (fields @ extra) | other -> other
+
+let golden_pair () =
+  let v9_refine err hit s =
+    with_fields
+      [
+        ("schema_version", Json.Number 9.);
+        ( "refine",
+          Json.Object
+            [
+              ("final_error", Json.Number err);
+              ("store_hit_rate", Json.Number hit);
+            ] );
+      ]
+      s
+  in
+  let baseline =
+    summary
+      ~sections:[ ("corpus", 100., 0.2, 1.0); ("gone", 10., 0.1, 0.5) ]
+      ()
+    |> with_manifest ~id:"aaaa" ~experiment:"e1"
+    |> with_faults ~quarantined:1.
+    |> with_store ~hits:0. ~hit_rate:0.
+    |> with_perf ~blocks_per_sec:1000.
+    |> with_serving ~rps:5000.
+    |> v9_refine 0.001 0.9
+  in
+  let current =
+    summary ~executed:1500. ~wall:100.
+      ~sections:[ ("corpus", 100., 0.2, 1.0); ("extra", 5., 0.0, 0.1) ]
+      ()
+    |> with_manifest ~id:"bbbb" ~experiment:"e1"
+    |> with_faults ~lost:1. ~quarantined:3.
+    |> with_store ~hit_rate:0.5
+    |> with_perf ~blocks_per_sec:700.
+    |> with_serving ~lost:2. ~shed_after_accept:1. ~coalesce_ratio:1.0
+         ~p99_ms:250. ~rps:2000.
+    |> v9_refine 0.01 0.2
+  in
+  (baseline, current)
+
+(* The pinned rendering: one line per FAIL/WARN/non-ok finding, in
+   evaluation order, then the tally (the "ok" comparisons are counted
+   but not printed). *)
+let golden_report_text =
+  String.concat "\n"
+    [
+      "info manifest.id                      baseline=0 current=1 limit=0  manifest ids differ (same experiment, different execution configuration)";
+      "FAIL executed                         baseline=1000 current=1500 limit=1104  more profiler executions than baseline (cache effectiveness regressed)";
+      "WARN engine_wall_seconds              baseline=10 current=100 limit=16  wall time regressed past threshold";
+      "FAIL faults.lost                      baseline=0 current=1 limit=0  jobs lost (completed + quarantined <> submitted)";
+      "FAIL faults.quarantined_jobs          baseline=1 current=3 limit=1  more quarantined jobs than baseline (recovery regressed)";
+      "FAIL store.hit_rate                   baseline=0.95 current=0.5 limit=0.95  store hit rate below required floor (warm run re-profiled too much)";
+      "FAIL perf.blocks_per_sec              baseline=1000 current=700 limit=800  simulator throughput regressed to 0.70x baseline (floor 0.80x)";
+      "FAIL serving.lost                     baseline=0 current=2 limit=0  requests lost (sent but never answered) — accept-then-hang or connection drop under load";
+      "FAIL serving.shed_after_accept        baseline=0 current=1 limit=0  requests shed after admission (deadline expiry or drain cut) — admission control let in more than the server could finish";
+      "FAIL serving.coalesce_ratio           baseline=1.05 current=1 limit=1.05  coalesce ratio below floor (concurrent duplicate requests are not sharing in-flight runs)";
+      "FAIL serving.requests_per_sec         baseline=5000 current=2000 limit=4000  serving throughput regressed to 0.40x baseline (floor 0.80x)";
+      "FAIL serving.p99_ms                   baseline=100 current=250 limit=100  p99 latency above ceiling";
+      "FAIL refine.final_error               baseline=0.005 current=0.01 limit=0.005  refinement final error above ceiling (the search failed to recover the descriptor)";
+      "FAIL refine.store_hit_rate            baseline=0.5 current=0.2 limit=0.5  candidate evaluations re-simulated too many blocks (incremental re-simulation through block generations regressed)";
+      "FAIL gone                             baseline=1 current=0 limit=1  section present in baseline but missing from current run";
+      "info extra                            baseline=0 current=1 limit=0  new section (absent from baseline)";
+      "bench-diff: FAIL (20 comparisons, 13 regressions, 1 warnings)";
+      "";
+    ]
+
+let test_diff_golden_report () =
+  let baseline, current = golden_pair () in
+  let report =
+    Bench_diff.compare_summaries ~min_store_hit_rate:0.95 ~min_speedup:0.8
+      ~min_coalesce:1.05 ~max_p99_ms:100. ~min_rps:0.8
+      ~max_refine_error:0.005 ~min_refine_hit_rate:0.5 ~baseline ~current ()
+  in
+  Alcotest.(check string) "report text" golden_report_text
+    (Format.asprintf "%a" Bench_diff.pp_report report);
+  Alcotest.(check int) "exit code" 1 (Bench_diff.exit_code report)
+
 let test_diff_schema_v5_accepted () =
   let versioned v = Json.Object [ ("schema_version", Json.Number v) ] in
   Alcotest.(check bool) "v5 (manifest era) accepted" true
@@ -907,6 +988,7 @@ let suite =
       test_diff_serving_volatile_for_identity;
     Alcotest.test_case "diff: strip volatile" `Quick test_strip_volatile;
     Alcotest.test_case "diff: identical mode" `Quick test_diff_identical_mode;
+    Alcotest.test_case "diff: golden report" `Quick test_diff_golden_report;
     Alcotest.test_case "diff: schema v5 accepted" `Quick
       test_diff_schema_v5_accepted;
     Alcotest.test_case "diff: experiment mismatch" `Quick
