@@ -1,7 +1,7 @@
 (* bhive_bench_diff: compare two bench_summary.json files and exit
    non-zero when the perf trajectory regressed — the CI gate.
 
-     bhive_bench_diff baseline.json current.json [thresholds]
+     bhive_bench_diff baseline.json current.json [gate flags]
 
    Exit codes: 0 pass (warnings allowed), 1 regression, 2 unreadable /
    unparseable / too-old-schema input, 3 the two summaries come from
@@ -33,9 +33,9 @@ let describe what j =
     (Option.value ~default:"?" (field "scale"))
     (Option.value ~default:"?" (field "rev"))
 
-let run baseline_path current_path executed_rel executed_abs hit_rate_rel
-    wall_rel wall_abs wall_fails identical min_store_hit_rate min_speedup
-    min_coalesce max_p99_ms min_rps max_refine_error min_refine_hit_rate =
+module Bench_diff = Telemetry.Bench_diff
+
+let run baseline_path current_path wall_fails identical limits =
   match
     (read_summary "baseline" baseline_path, read_summary "current" current_path)
   with
@@ -47,8 +47,7 @@ let run baseline_path current_path executed_rel executed_abs hit_rate_rel
        not yet classified volatile) cannot be compared: say so
        precisely instead of failing on a missing field *)
     (match
-       ( Telemetry.Bench_diff.check_schema baseline,
-         Telemetry.Bench_diff.check_schema current )
+       (Bench_diff.check_schema baseline, Bench_diff.check_schema current)
      with
     | Error msg, _ ->
       Printf.eprintf
@@ -62,24 +61,29 @@ let run baseline_path current_path executed_rel executed_abs hit_rate_rel
     | Ok (), Ok () -> ());
     describe "baseline" baseline;
     describe "current " current;
-    let thresholds =
-      {
-        Telemetry.Bench_diff.executed_rel;
-        executed_abs;
-        hit_rate_rel;
-        wall_rel;
-        wall_abs;
-        wall_fails;
-      }
-    in
     let report =
-      Telemetry.Bench_diff.compare_summaries ~thresholds
-        ~require_identical:identical ?min_store_hit_rate ?min_speedup
-        ?min_coalesce ?max_p99_ms ?min_rps ?max_refine_error
-        ?min_refine_hit_rate ~baseline ~current ()
+      Bench_diff.compare_summaries ~wall_fails ~require_identical:identical
+        ~limits ~baseline ~current ()
     in
-    Telemetry.Bench_diff.pp_report Format.std_formatter report;
-    exit (Telemetry.Bench_diff.exit_code report)
+    Bench_diff.pp_report Format.std_formatter report;
+    exit (Bench_diff.exit_code report)
+
+(* One optional float flag per flag row of the gate table; the term
+   yields the requested rows with their values. *)
+let limits =
+  let flag (g : Bench_diff.gate) =
+    match g.bound with
+    | Flag { name; docv; doc } ->
+      let value =
+        Arg.(value & opt (some float) None & info [ name ] ~docv ~doc)
+      in
+      Some Term.(const (Option.map (fun v -> (g, v))) $ value)
+    | Fixed _ | Baseline_value -> None
+  in
+  List.fold_right
+    (fun t rest -> Term.(const (fun x xs -> Option.to_list x @ xs) $ t $ rest))
+    (List.filter_map flag Bench_diff.gates)
+    (Term.const [])
 
 let cmd =
   let baseline =
@@ -93,41 +97,6 @@ let cmd =
       required
       & pos 1 (some string) None
       & info [] ~docv:"CURRENT" ~doc:"Freshly generated bench_summary.json.")
-  in
-  let d = Telemetry.Bench_diff.default_thresholds in
-  let executed_rel =
-    Arg.(
-      value
-      & opt float d.executed_rel
-      & info [ "executed-threshold" ]
-          ~doc:"Allowed relative increase in executed job counts.")
-  in
-  let executed_abs =
-    Arg.(
-      value
-      & opt float d.executed_abs
-      & info [ "executed-slack" ]
-          ~doc:"Absolute slack on executed job counts (covers tiny sections).")
-  in
-  let hit_rate_rel =
-    Arg.(
-      value
-      & opt float d.hit_rate_rel
-      & info [ "hit-rate-threshold" ]
-          ~doc:"Allowed relative drop in cache-hit rate.")
-  in
-  let wall_rel =
-    Arg.(
-      value
-      & opt float d.wall_rel
-      & info [ "wall-threshold" ]
-          ~doc:"Allowed relative increase in wall seconds.")
-  in
-  let wall_abs =
-    Arg.(
-      value
-      & opt float d.wall_abs
-      & info [ "wall-slack" ] ~doc:"Absolute slack on wall seconds.")
   in
   let wall_fails =
     Arg.(
@@ -150,86 +119,8 @@ let cmd =
              are not gated in this mode (those fields are volatile by its \
              contract); absolute invariants still are.")
   in
-  let min_store_hit_rate =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-store-hit-rate" ] ~docv:"RATE"
-          ~doc:
-            "Fail unless the current run's store hit rate \
-             ($(b,store.hit_rate)) is at least RATE — e.g. 0.95 for the \
-             warm-cache job.")
-  in
-  let min_speedup =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-speedup" ] ~docv:"RATE"
-          ~doc:
-            "Fail unless the current run's simulator throughput \
-             ($(b,perf.blocks_per_sec), simulated blocks per in-simulator \
-             core-second) is at least RATE times the baseline's — e.g. 0.8 \
-             for the CI perf job. Ratios between RATE and 1.0 warn.")
-  in
-  let min_coalesce =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-coalesce" ] ~docv:"RATIO"
-          ~doc:
-            "Fail unless the current run's request coalesce ratio \
-             ($(b,serving.coalesce_ratio), requests answered per engine \
-             submission) is at least RATIO — e.g. 1.05 for the CI serve \
-             job, which replays duplicate blocks concurrently.")
-  in
-  let max_p99_ms =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "max-p99-ms" ] ~docv:"MS"
-          ~doc:
-            "Fail if the current run's p99 request latency \
-             ($(b,serving.p99_ms)) exceeds MS milliseconds.")
-  in
-  let min_rps =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-rps" ] ~docv:"RATE"
-          ~doc:
-            "Fail unless the current run's serving throughput \
-             ($(b,serving.requests_per_sec), answered requests per replay \
-             second) is at least RATE times the baseline's — e.g. 0.8 for \
-             the CI serve-perf job. A baseline without the field fails \
-             cleanly.")
-  in
-  let max_refine_error =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "max-refine-error" ] ~docv:"ERR"
-          ~doc:
-            "Fail if the current run's descriptor-refinement final error \
-             ($(b,refine.final_error), schema v9) exceeds ERR — the CI \
-             refine job's recovery gate. A pre-v9 summary fails cleanly.")
-  in
-  let min_refine_hit_rate =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-refine-hit-rate" ] ~docv:"RATE"
-          ~doc:
-            "Fail unless the current run's cross-eval refinement store hit \
-             rate ($(b,refine.store_hit_rate), schema v9) is at least RATE \
-             — e.g. 0.5 to prove candidate evaluations re-simulate only the \
-             blocks their patch touches.")
-  in
   let term =
-    Term.(
-      const run $ baseline $ current $ executed_rel $ executed_abs
-      $ hit_rate_rel $ wall_rel $ wall_abs $ wall_fails $ identical
-      $ min_store_hit_rate $ min_speedup $ min_coalesce $ max_p99_ms
-      $ min_rps $ max_refine_error $ min_refine_hit_rate)
+    Term.(const run $ baseline $ current $ wall_fails $ identical $ limits)
   in
   Cmd.v
     (Cmd.info "bhive_bench_diff"

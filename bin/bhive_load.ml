@@ -499,7 +499,7 @@ let run socket concurrency repeat scale uarch deadline_ms batch manifest verify
     let doc =
       Json.Object
         [
-          ("schema_version", Json.Number 9.0);
+          ("schema_version", Json.Number Telemetry.Bench_diff.schema_version);
           ("scale", Json.Number (float_of_int config.Corpus.Suite.scale));
           ("rev", Json.String rev);
           ("name", Json.String "serve-load");

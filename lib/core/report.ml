@@ -117,16 +117,6 @@ let google_numbers fmt
 
 (* --- figures (text bars) --------------------------------------------- *)
 
-let bar_chart fmt ~title ~unit rows =
-  rule fmt title;
-  let max_value = List.fold_left (fun m (_, v) -> Float.max m v) 0.0 rows in
-  List.iter
-    (fun (label, v) ->
-      Format.fprintf fmt "%-14s |%s| %.3f%s@." label
-        (Bstats.Summary.bar ~max_value v)
-        v unit)
-    rows
-
 let per_app_error fmt ~uarch (evals : Validation.eval list) =
   rule fmt (Printf.sprintf "Figure: per-application error on %s (frequency-weighted)" uarch);
   List.iter

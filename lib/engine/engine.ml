@@ -381,7 +381,6 @@ let default () = Lazy.force shared
 let jobs t = t.n_jobs
 let faults t = t.faults
 let policy t = t.policy
-let cache_size t = Hashtbl.length t.cache
 let store t = t.store
 
 (* Generation fingerprints, memoised by descriptor identity. *)

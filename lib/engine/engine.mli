@@ -258,7 +258,6 @@ val jobs : t -> int
 val faults : t -> Faultsim.config
 val policy : t -> policy
 val stats : t -> stats
-val cache_size : t -> int
 
 (** The engine's disk tier, if one is attached. *)
 val store : t -> Store.t option

@@ -650,7 +650,7 @@ let summary_json ~(spec : Spec.t) ~manifest_id ~experiment_id ~journal_digest
         ]
     in
     Json.Object
-      (("schema_version", Json.Number 9.0)
+      (("schema_version", Json.Number Telemetry.Bench_diff.schema_version)
       :: ("scale", Json.Number (float_of_int spec.corpus.scale))
       :: ("rev", Json.String rev)
       :: ("name", Json.String spec.name)

@@ -16,8 +16,6 @@ let unmap t vpn = Hashtbl.remove t.entries vpn
 
 let unmap_all t = Hashtbl.reset t.entries
 
-let is_mapped t vpn = Hashtbl.mem t.entries vpn
-
 let mapped_pages t =
   Hashtbl.fold (fun vpn pfn acc -> (vpn, pfn) :: acc) t.entries []
   |> List.sort compare

@@ -1,23 +1,11 @@
 (* See bench_diff.mli. *)
 
-type thresholds = {
-  executed_rel : float;
-  executed_abs : float;
-  hit_rate_rel : float;
-  wall_rel : float;
-  wall_abs : float;
-  wall_fails : bool;
-}
-
-let default_thresholds =
-  {
-    executed_rel = 0.10;
-    executed_abs = 4.0;
-    hit_rate_rel = 0.05;
-    wall_rel = 0.50;
-    wall_abs = 1.0;
-    wall_fails = false;
-  }
+(* Slack of the threshold-relative counter checks (see bench_diff.mli). *)
+let executed_rel = 0.10
+let executed_abs = 4.0
+let hit_rate_rel = 0.05
+let wall_rel = 0.50
+let wall_abs = 1.0
 
 type severity = Info | Warning | Regression
 
@@ -35,6 +23,8 @@ type verdict = Pass | Warn | Fail | Mismatch
 type report = { findings : finding list; verdict : verdict }
 
 let num_field name j = Option.bind (Json.member name j) Json.number
+
+let schema_version = 9.0
 
 (* v5: the first schema carrying the manifest/experiment identity and
    the journal digest; anything older cannot prove the two runs
@@ -55,34 +45,254 @@ let check_schema j =
          (Json.number_to_string min_schema_version))
   | Some _ -> Ok ()
 
+let finding severity metric ~baseline ~current ~limit detail =
+  { severity; metric; baseline; current; limit; detail }
+
 (* One comparison: [violated] decides against the limit; findings at or
    below the limit become Info entries so CI logs show what was checked. *)
 let check ~severity ~metric ~baseline ~current ~limit ~violated ~detail acc =
-  let f =
-    if violated then { severity; metric; baseline; current; limit; detail }
-    else { severity = Info; metric; baseline; current; limit; detail = "ok" }
+  let severity, detail =
+    if violated then (severity, detail) else (Info, "ok")
   in
-  f :: acc
+  finding severity metric ~baseline ~current ~limit detail :: acc
 
-let check_executed t ~metric ~baseline ~current acc =
-  let limit = (baseline *. (1.0 +. t.executed_rel)) +. t.executed_abs in
+let check_executed ~metric ~baseline ~current acc =
+  let limit = (baseline *. (1.0 +. executed_rel)) +. executed_abs in
   check ~severity:Regression ~metric ~baseline ~current ~limit
     ~violated:(current > limit)
     ~detail:"more profiler executions than baseline (cache effectiveness regressed)"
     acc
 
-let check_hit_rate t ~metric ~baseline ~current acc =
-  let limit = baseline *. (1.0 -. t.hit_rate_rel) in
+let check_hit_rate ~metric ~baseline ~current acc =
+  let limit = baseline *. (1.0 -. hit_rate_rel) in
   check ~severity:Regression ~metric ~baseline ~current ~limit
     ~violated:(current < limit)
     ~detail:"cache-hit rate dropped past threshold" acc
 
-let check_wall t ~metric ~baseline ~current acc =
-  let limit = (baseline *. (1.0 +. t.wall_rel)) +. t.wall_abs in
-  let severity = if t.wall_fails then Regression else Warning in
+let check_wall ~wall_fails ~metric ~baseline ~current acc =
+  let limit = (baseline *. (1.0 +. wall_rel)) +. wall_abs in
+  let severity = if wall_fails then Regression else Warning in
   check ~severity ~metric ~baseline ~current ~limit
     ~violated:(current > limit)
     ~detail:"wall time regressed past threshold" acc
+
+(* --- the gate table ------------------------------------------------- *)
+
+type kind =
+  | Floor
+  | Ceiling
+  | Equal
+  | Ratio_floor of { warn_below_parity : bool }
+
+type bound =
+  | Flag of { name : string; docv : string; doc : string }
+  | Fixed of float
+  | Baseline_value
+
+type gate = {
+  path : string list;
+  kind : kind;
+  bound : bound;
+  since : float;
+  detail : string;
+}
+
+let flag name docv doc = Flag { name; docv; doc }
+
+let gates =
+  [
+    {
+      path = [ "faults"; "lost" ];
+      kind = Equal;
+      bound = Fixed 0.0;
+      since = 3.0;
+      detail = "jobs lost (completed + quarantined <> submitted)";
+    };
+    {
+      path = [ "faults"; "quarantined_jobs" ];
+      kind = Ceiling;
+      bound = Baseline_value;
+      since = 3.0;
+      detail = "more quarantined jobs than baseline (recovery regressed)";
+    };
+    {
+      path = [ "store"; "hit_rate" ];
+      kind = Floor;
+      bound =
+        flag "min-store-hit-rate" "RATE"
+          "Fail unless the current run's store hit rate \
+           ($(b,store.hit_rate)) is at least RATE — e.g. 0.95 for the \
+           warm-cache job.";
+      since = 4.0;
+      detail =
+        "store hit rate below required floor (warm run re-profiled too much)";
+    };
+    {
+      (* simulated blocks over cumulative in-simulator core-seconds: far
+         less runner-noise-sensitive than wall time *)
+      path = [ "perf"; "blocks_per_sec" ];
+      kind = Ratio_floor { warn_below_parity = true };
+      bound =
+        flag "min-speedup" "RATE"
+          "Fail unless the current run's simulator throughput \
+           ($(b,perf.blocks_per_sec), simulated blocks per in-simulator \
+           core-second) is at least RATE times the baseline's — e.g. 0.8 \
+           for the CI perf job. Ratios between RATE and 1.0 warn.";
+      since = 6.0;
+      detail = "simulator throughput";
+    };
+    {
+      path = [ "serving"; "lost" ];
+      kind = Equal;
+      bound = Fixed 0.0;
+      since = 7.0;
+      detail =
+        "requests lost (sent but never answered) — accept-then-hang or \
+         connection drop under load";
+    };
+    {
+      path = [ "serving"; "shed_after_accept" ];
+      kind = Equal;
+      bound = Fixed 0.0;
+      since = 7.0;
+      detail =
+        "requests shed after admission (deadline expiry or drain cut) — \
+         admission control let in more than the server could finish";
+    };
+    {
+      path = [ "serving"; "coalesce_ratio" ];
+      kind = Floor;
+      bound =
+        flag "min-coalesce" "RATIO"
+          "Fail unless the current run's request coalesce ratio \
+           ($(b,serving.coalesce_ratio), requests answered per engine \
+           submission) is at least RATIO — e.g. 1.05 for the CI serve job, \
+           which replays duplicate blocks concurrently.";
+      since = 7.0;
+      detail =
+        "coalesce ratio below floor (concurrent duplicate requests are not \
+         sharing in-flight runs)";
+    };
+    {
+      path = [ "serving"; "requests_per_sec" ];
+      kind = Ratio_floor { warn_below_parity = false };
+      bound =
+        flag "min-rps" "RATE"
+          "Fail unless the current run's serving throughput \
+           ($(b,serving.requests_per_sec), answered requests per replay \
+           second) is at least RATE times the baseline's — e.g. 0.8 for the \
+           CI serve-perf job.";
+      since = 8.0;
+      detail = "serving throughput";
+    };
+    {
+      path = [ "serving"; "p99_ms" ];
+      kind = Ceiling;
+      bound =
+        flag "max-p99-ms" "MS"
+          "Fail if the current run's p99 request latency \
+           ($(b,serving.p99_ms)) exceeds MS milliseconds.";
+      since = 7.0;
+      detail = "p99 latency above ceiling";
+    };
+    (* The refine rows arrived with the current schema; pin their
+       [since] to 9.0 when [schema_version] next moves. *)
+    {
+      path = [ "refine"; "final_error" ];
+      kind = Ceiling;
+      bound =
+        flag "max-refine-error" "ERR"
+          "Fail if the current run's descriptor-refinement final error \
+           ($(b,refine.final_error)) exceeds ERR — the CI refine job's \
+           recovery gate.";
+      since = schema_version;
+      detail =
+        "refinement final error above ceiling (the search failed to recover \
+         the descriptor)";
+    };
+    {
+      path = [ "refine"; "store_hit_rate" ];
+      kind = Floor;
+      bound =
+        flag "min-refine-hit-rate" "RATE"
+          "Fail unless the current run's cross-eval refinement store hit \
+           rate ($(b,refine.store_hit_rate)) is at least RATE — e.g. 0.5 to \
+           prove candidate evaluations re-simulate only the blocks their \
+           patch touches.";
+      since = schema_version;
+      detail =
+        "candidate evaluations re-simulated too many blocks (incremental \
+         re-simulation through block generations regressed)";
+    };
+  ]
+
+let find_gate name =
+  List.find
+    (fun g -> match g.bound with Flag f -> f.name = name | _ -> false)
+    gates
+
+(* Evaluate one row. [limits] holds the rows the caller requested by
+   flag, with their values; an always-on row needs no request. *)
+let eval_gate ~baseline ~current ~limits acc g =
+  let metric = String.concat "." g.path in
+  let num doc = Option.bind (Json.path g.path doc) Json.number in
+  let refuse limit detail =
+    finding Regression metric ~baseline:0.0 ~current:0.0 ~limit detail :: acc
+  in
+  let judge limit c =
+    let absolute violated =
+      check ~severity:Regression ~metric ~baseline:limit ~current:c ~limit
+        ~violated ~detail:g.detail acc
+    in
+    match g.kind with
+    | Floor -> absolute (c < limit)
+    | Ceiling -> absolute (c > limit)
+    | Equal -> absolute (c <> limit)
+    | Ratio_floor { warn_below_parity } -> (
+      match num baseline with
+      | None ->
+        refuse limit
+          (metric ^ " missing from the baseline summary — cannot anchor a ratio")
+      | Some b when b <= 0.0 ->
+        refuse limit
+          (Printf.sprintf
+             "baseline %s is %s — cannot anchor a ratio; regenerate the \
+              baseline from a run that measures it"
+             metric (Json.number_to_string b))
+      | Some b ->
+        let ratio = c /. b in
+        let judged severity ~limit detail =
+          finding severity metric ~baseline:b ~current:c ~limit detail :: acc
+        in
+        if ratio < limit then
+          judged Regression ~limit:(b *. limit)
+            (Printf.sprintf "%s regressed to %.2fx baseline (floor %.2fx)"
+               g.detail ratio limit)
+        else if warn_below_parity && ratio < 1.0 then
+          judged Warning ~limit:b
+            (Printf.sprintf
+               "%s at %.2fx baseline (above the %.2fx floor, below parity)"
+               g.detail ratio limit)
+        else judged Info ~limit:(b *. limit) "ok")
+  in
+  match (g.bound, num current) with
+  | Fixed limit, Some c -> judge limit c
+  | Baseline_value, Some c -> judge (Option.value (num baseline) ~default:0.0) c
+  | (Fixed _ | Baseline_value), None -> acc
+  | Flag f, c -> (
+    match (List.assoc_opt g limits, num_field "schema_version" current, c) with
+    | None, _, _ -> acc
+    | Some limit, Some v, _ when v < g.since ->
+      refuse limit
+        (Printf.sprintf
+           "--%s requires a schema v%s summary (this one is v%s) — \
+            regenerate it with the current harness"
+           f.name
+           (Json.number_to_string g.since)
+           (Json.number_to_string v))
+    | Some limit, _, None ->
+      refuse limit (metric ^ " missing from the current summary — cannot gate it")
+    | Some limit, _, Some c -> judge limit c)
 
 (* --- identical-mode support (warm-cache CI gate) ---------------------- *)
 
@@ -118,7 +328,7 @@ let volatile_keys =
     "generated_unix_time";
     (* schema v7: the serving object is all latency/throughput/traffic
        measurement — volatile by nature; its absolute invariants (lost,
-       shed_after_accept) are gated explicitly instead *)
+       shed_after_accept) are gate-table rows instead *)
     "serving";
   ]
 
@@ -139,7 +349,7 @@ let rec strip_volatile (j : Json.t) : Json.t =
    Any other top-level object — the [refine] summary with its
    resume-dependent store rates, or a future schema's addition an older
    gate has never heard of — is volatile for the identity check; its
-   absolute invariants get explicit gates instead. (Below the top
+   absolute invariants are gate-table rows instead. (Below the top
    level the blocklist above still applies: section objects mix
    deterministic digests with volatile timings.) *)
 let identity_keys = [ "schema_version"; "scale"; "name"; "manifest"; "sections" ]
@@ -206,11 +416,8 @@ let sections j =
 let manifest_field doc name =
   Option.bind (Json.path [ "manifest"; name ] doc) Json.string_value
 
-let compare_summaries ?(thresholds = default_thresholds)
-    ?(require_identical = false) ?min_store_hit_rate ?min_speedup
-    ?min_coalesce ?max_p99_ms ?min_rps ?max_refine_error
-    ?min_refine_hit_rate ~baseline ~current () =
-  let t = thresholds in
+let compare_summaries ?(wall_fails = false) ?(require_identical = false)
+    ?(limits = []) ~baseline ~current () =
   (* Same experiment? Two summaries with different experiment ids were
      produced by manifests that measure different things — comparing
      their numbers would gate CI on an apples-to-oranges diff, so this
@@ -220,419 +427,86 @@ let compare_summaries ?(thresholds = default_thresholds)
      worth a note. *)
   match (manifest_field baseline "experiment", manifest_field current "experiment") with
   | Some b, Some c when b <> c ->
+    let short id = String.sub id 0 (min 12 (String.length id)) in
     {
       findings =
         [
-          {
-            severity = Regression;
-            metric = "manifest.experiment";
-            baseline = 0.0;
-            current = 1.0;
-            limit = 0.0;
-            detail =
-              Printf.sprintf
-                "different experiments: baseline %s vs current %s — these \
-                 runs are not comparable"
-                (String.sub b 0 (min 12 (String.length b)))
-                (String.sub c 0 (min 12 (String.length c)));
-          };
+          finding Regression "manifest.experiment" ~baseline:0.0 ~current:1.0
+            ~limit:0.0
+            (Printf.sprintf
+               "different experiments: baseline %s vs current %s — these \
+                runs are not comparable"
+               (short b) (short c));
         ];
       verdict = Mismatch;
     }
   | _ ->
   let acc = ref [] in
+  let add f = acc := f :: !acc in
   (match (manifest_field baseline "id", manifest_field current "id") with
   | Some b, Some c when b <> c ->
-    acc :=
-      {
-        severity = Info;
-        metric = "manifest.id";
-        baseline = 0.0;
-        current = 1.0;
-        limit = 0.0;
-        detail =
-          "manifest ids differ (same experiment, different execution \
-           configuration)";
-      }
-      :: !acc
+    add
+      (finding Info "manifest.id" ~baseline:0.0 ~current:1.0 ~limit:0.0
+         "manifest ids differ (same experiment, different execution \
+          configuration)")
   | _ -> ());
   (* identical mode declares the counter fields volatile (a resumed or
      warm run legitimately shifts memo hits into store hits and moves
      submissions between sections), so gating them against relative
      thresholds would contradict the mode's own contract — the identity
-     check and the absolute invariants below are the gate instead. *)
+     check and the gate table below are the gate instead. *)
   let gate_thresholds = not require_identical in
-  let top name checker =
-    match (num_field name baseline, num_field name current) with
-    | Some b, Some c -> acc := checker t ~metric:name ~baseline:b ~current:c !acc
+  let relative ?(prefix = "") b_doc c_doc path checker =
+    let num doc = Option.bind (Json.path path doc) Json.number in
+    match (num b_doc, num c_doc) with
+    | Some b, Some c ->
+      acc :=
+        checker ~metric:(prefix ^ String.concat "." path) ~baseline:b
+          ~current:c !acc
     | _ -> ()
   in
-  if gate_thresholds then begin
-    top "executed" check_executed;
-    top "cache_hit_rate" check_hit_rate;
-    top "engine_wall_seconds" check_wall
-  end;
+  let counters ?prefix b_doc c_doc ~wall =
+    if gate_thresholds then begin
+      relative ?prefix b_doc c_doc [ "executed" ] check_executed;
+      relative ?prefix b_doc c_doc [ "cache_hit_rate" ] check_hit_rate;
+      relative ?prefix b_doc c_doc [ wall ] (check_wall ~wall_fails)
+    end
+  in
+  counters baseline current ~wall:"engine_wall_seconds";
+  (* the store tier's hit rate, whenever the baseline consulted one *)
+  if gate_thresholds then
+    relative baseline current [ "store"; "hit_rate" ]
+      (fun ~metric ~baseline ~current acc ->
+        if baseline > 0.0 then check_hit_rate ~metric ~baseline ~current acc
+        else acc);
   (* a submitted-count change is not a regression, but it explains
      executed-count drift, so surface it *)
   (match (num_field "submitted" baseline, num_field "submitted" current) with
   | Some b, Some c when b <> c ->
-    acc :=
-      {
-        severity = Info;
-        metric = "submitted";
-        baseline = b;
-        current = c;
-        limit = b;
-        detail = "workload size changed — regenerate the baseline if intended";
-      }
-      :: !acc
+    add
+      (finding Info "submitted" ~baseline:b ~current:c ~limit:b
+         "workload size changed — regenerate the baseline if intended")
   | _ -> ());
-  (* fault accounting (schema v3): a lost job is an absolute invariant
-     violation, and quarantining more jobs than the baseline means the
-     engine's recovery regressed *)
-  let fault_num doc name = Option.bind (Json.path [ "faults"; name ] doc) Json.number in
-  (match fault_num current "lost" with
-  | Some l ->
-    acc :=
-      check ~severity:Regression ~metric:"faults.lost" ~baseline:0.0
-        ~current:l ~limit:0.0 ~violated:(l <> 0.0)
-        ~detail:"jobs lost (completed + quarantined <> submitted)" !acc
-  | None -> ());
-  (match fault_num current "quarantined_jobs" with
-  | Some c ->
-    let b = Option.value (fault_num baseline "quarantined_jobs") ~default:0.0 in
-    acc :=
-      check ~severity:Regression ~metric:"faults.quarantined_jobs" ~baseline:b
-        ~current:c ~limit:b ~violated:(c > b)
-        ~detail:"more quarantined jobs than baseline (recovery regressed)" !acc
-  | None -> ());
-  (* store tier (schema v4): hit-rate regressions against the baseline,
-     and an optional absolute floor for the warm-cache CI job *)
-  let store_num doc name =
-    Option.bind (Json.path [ "store"; name ] doc) Json.number
-  in
-  (match (store_num baseline "hit_rate", store_num current "hit_rate") with
-  | Some b, Some c when b > 0.0 && gate_thresholds ->
-    acc := check_hit_rate t ~metric:"store.hit_rate" ~baseline:b ~current:c !acc
-  | _ -> ());
-  (match min_store_hit_rate with
-  | None -> ()
-  | Some floor ->
-    let c = Option.value (store_num current "hit_rate") ~default:0.0 in
-    acc :=
-      check ~severity:Regression ~metric:"store.hit_rate" ~baseline:floor
-        ~current:c ~limit:floor ~violated:(c < floor)
-        ~detail:
-          "store hit rate below required floor (warm run re-profiled too much)"
-        !acc);
-  (* simulator throughput (schema v6): [perf.blocks_per_sec] is simulated
-     blocks over cumulative in-simulator core-seconds, so it is far less
-     runner-noise-sensitive than wall time. The gate fails below
-     [min_speedup] x baseline and warns below parity. Read before
-     stripping — the perf object is volatile for the identity check
-     (its wall breakdown genuinely varies) but is exactly what this
-     gate exists to compare. *)
-  (match min_speedup with
-  | None -> ()
-  | Some floor ->
-    let bps doc =
-      Option.bind (Json.path [ "perf"; "blocks_per_sec" ] doc) Json.number
-    in
-    (match (bps baseline, bps current) with
-    | Some b, Some _ when b = 0.0 ->
-      (* present but zero: a zero-block baseline run (empty corpus or
-         fully warm store) cannot anchor a ratio — distinct from a
-         pre-v6 summary that lacks the field entirely *)
-      acc :=
-        {
-          severity = Regression;
-          metric = "perf.blocks_per_sec";
-          baseline = 0.0;
-          current = 0.0;
-          limit = floor;
-          detail =
-            "baseline perf.blocks_per_sec is zero (zero-block run?) — \
-             cannot compute a throughput ratio; regenerate the baseline \
-             from a run that simulates blocks";
-        }
-        :: !acc
-    | Some b, Some c when b > 0.0 ->
-      let ratio = c /. b in
-      if ratio < floor then
-        acc :=
-          {
-            severity = Regression;
-            metric = "perf.blocks_per_sec";
-            baseline = b;
-            current = c;
-            limit = b *. floor;
-            detail =
-              Printf.sprintf
-                "simulator throughput regressed to %.2fx baseline (floor %.2fx)"
-                ratio floor;
-          }
-          :: !acc
-      else if ratio < 1.0 then
-        acc :=
-          {
-            severity = Warning;
-            metric = "perf.blocks_per_sec";
-            baseline = b;
-            current = c;
-            limit = b;
-            detail =
-              Printf.sprintf
-                "simulator throughput at %.2fx baseline (above the %.2fx \
-                 floor, below parity)"
-                ratio floor;
-          }
-          :: !acc
-      else
-        acc :=
-          check ~severity:Regression ~metric:"perf.blocks_per_sec" ~baseline:b
-            ~current:c ~limit:(b *. floor) ~violated:false ~detail:"ok" !acc
-    | _ ->
-      acc :=
-        {
-          severity = Regression;
-          metric = "perf.blocks_per_sec";
-          baseline = 0.0;
-          current = 0.0;
-          limit = floor;
-          detail =
-            "perf.blocks_per_sec missing (summary predates schema v6?) — \
-             cannot gate simulator throughput";
-        }
-        :: !acc));
-  (* serving object (schema v7, written by bhive_load): the absolute
-     invariants hold for any load run — an accepted request is always
-     answered (lost = 0) and, absent client deadlines and drains,
-     never shed after acceptance. The optional floors gate the
-     service-level numbers the CI serve job cares about. *)
-  let serving_num doc name =
-    Option.bind (Json.path [ "serving"; name ] doc) Json.number
-  in
-  (match serving_num current "lost" with
-  | Some l ->
-    acc :=
-      check ~severity:Regression ~metric:"serving.lost" ~baseline:0.0
-        ~current:l ~limit:0.0 ~violated:(l <> 0.0)
-        ~detail:
-          "requests lost (sent but never answered) — accept-then-hang or \
-           connection drop under load"
-        !acc
-  | None -> ());
-  (match serving_num current "shed_after_accept" with
-  | Some s ->
-    acc :=
-      check ~severity:Regression ~metric:"serving.shed_after_accept"
-        ~baseline:0.0 ~current:s ~limit:0.0 ~violated:(s <> 0.0)
-        ~detail:
-          "requests shed after admission (deadline expiry or drain cut) — \
-           admission control let in more than the server could finish"
-        !acc
-  | None -> ());
-  (match min_coalesce with
-  | None -> ()
-  | Some floor -> (
-    match serving_num current "coalesce_ratio" with
-    | Some c ->
-      acc :=
-        check ~severity:Regression ~metric:"serving.coalesce_ratio"
-          ~baseline:floor ~current:c ~limit:floor ~violated:(c < floor)
-          ~detail:
-            "coalesce ratio below floor (concurrent duplicate requests are \
-             not sharing in-flight runs)"
-          !acc
-    | None ->
-      acc :=
-        {
-          severity = Regression;
-          metric = "serving.coalesce_ratio";
-          baseline = floor;
-          current = 0.0;
-          limit = floor;
-          detail =
-            "serving.coalesce_ratio missing (not a bhive_load summary?) — \
-             cannot gate coalescing";
-        }
-        :: !acc));
-  (* serving throughput (schema v8): [serving.requests_per_sec] is
-     answered requests over replay wall time — the end-to-end daemon
-     number the serve-perf CI job gates. Like the simulator gate, the
-     floor is a ratio against the checked-in baseline, and a baseline
-     that cannot anchor the ratio (zero, missing field, or no serving
-     object at all) is a clean failure, not a silent pass. *)
-  (match min_rps with
-  | None -> ()
-  | Some floor ->
-    let rps doc = serving_num doc "requests_per_sec" in
-    (match (rps baseline, rps current) with
-    | Some b, Some _ when b = 0.0 ->
-      acc :=
-        {
-          severity = Regression;
-          metric = "serving.requests_per_sec";
-          baseline = 0.0;
-          current = 0.0;
-          limit = floor;
-          detail =
-            "baseline serving.requests_per_sec is zero — cannot compute a \
-             throughput ratio; regenerate the serving baseline from a real \
-             load run";
-        }
-        :: !acc
-    | Some b, Some c when b > 0.0 ->
-      let ratio = c /. b in
-      if ratio < floor then
-        acc :=
-          {
-            severity = Regression;
-            metric = "serving.requests_per_sec";
-            baseline = b;
-            current = c;
-            limit = b *. floor;
-            detail =
-              Printf.sprintf
-                "serving throughput regressed to %.2fx baseline (floor %.2fx)"
-                ratio floor;
-          }
-          :: !acc
-      else
-        acc :=
-          check ~severity:Regression ~metric:"serving.requests_per_sec"
-            ~baseline:b ~current:c ~limit:(b *. floor) ~violated:false
-            ~detail:"ok" !acc
-    | _ ->
-      acc :=
-        {
-          severity = Regression;
-          metric = "serving.requests_per_sec";
-          baseline = 0.0;
-          current = 0.0;
-          limit = floor;
-          detail =
-            "serving.requests_per_sec missing (not a schema v8 bhive_load \
-             summary?) — cannot gate serving throughput";
-        }
-        :: !acc));
-  (match max_p99_ms with
-  | None -> ()
-  | Some ceiling -> (
-    match serving_num current "p99_ms" with
-    | Some c ->
-      acc :=
-        check ~severity:Regression ~metric:"serving.p99_ms" ~baseline:ceiling
-          ~current:c ~limit:ceiling ~violated:(c > ceiling)
-          ~detail:"p99 latency above ceiling" !acc
-    | None ->
-      acc :=
-        {
-          severity = Regression;
-          metric = "serving.p99_ms";
-          baseline = ceiling;
-          current = 0.0;
-          limit = ceiling;
-          detail =
-            "serving.p99_ms missing (not a bhive_load summary?) — cannot \
-             gate tail latency";
-        }
-        :: !acc));
-  (* descriptor refinement (schema v9, the [refine] summary object):
-     absolute gates on the search outcome. The refine numbers only
-     exist from schema v9 on, so either flag on an older summary is a
-     clean failure — the same refusal the schema floor applies to
-     pre-v5 documents, just stated per-gate. *)
-  let refine_num doc name =
-    Option.bind (Json.path [ "refine"; name ] doc) Json.number
-  in
-  let refine_gate ~metric ~limit ~field ~violated ~detail =
-    match num_field "schema_version" current with
-    | Some v when v >= 9.0 -> (
-      match refine_num current field with
-      | Some c ->
-        acc :=
-          check ~severity:Regression ~metric ~baseline:limit ~current:c ~limit
-            ~violated:(violated c) ~detail !acc
-      | None ->
-        acc :=
-          {
-            severity = Regression;
-            metric;
-            baseline = limit;
-            current = 0.0;
-            limit;
-            detail =
-              "refine object missing from the current summary (manifest has \
-               no refine section?) — cannot gate refinement";
-          }
-          :: !acc)
-    | _ ->
-      acc :=
-        {
-          severity = Regression;
-          metric;
-          baseline = limit;
-          current = 0.0;
-          limit;
-          detail =
-            "refine gates require a schema v9 summary — regenerate it with \
-             the current harness";
-        }
-        :: !acc
-  in
-  (match max_refine_error with
-  | None -> ()
-  | Some ceiling ->
-    refine_gate ~metric:"refine.final_error" ~limit:ceiling
-      ~field:"final_error"
-      ~violated:(fun c -> c > ceiling)
-      ~detail:
-        "refinement final error above ceiling (the search failed to recover \
-         the descriptor)");
-  (match min_refine_hit_rate with
-  | None -> ()
-  | Some floor ->
-    refine_gate ~metric:"refine.store_hit_rate" ~limit:floor
-      ~field:"store_hit_rate"
-      ~violated:(fun c -> c < floor)
-      ~detail:
-        "candidate evaluations re-simulated too many blocks (incremental \
-         re-simulation through block generations regressed)");
+  acc := List.fold_left (eval_gate ~baseline ~current ~limits) !acc gates;
   (* identical mode: after stripping volatile fields, the two summaries
      must be structurally equal — the warm-run byte-identity gate *)
   if require_identical then begin
     let a = strip_top baseline and b = strip_top current in
     if a = b then
-      acc :=
-        check ~severity:Regression ~metric:"identical" ~baseline:0.0
-          ~current:0.0 ~limit:0.0 ~violated:false ~detail:"ok" !acc
+      add (finding Info "identical" ~baseline:0.0 ~current:0.0 ~limit:0.0 "ok")
     else begin
       let paths, total = diff_paths ~limit:16 a b in
       List.iter
         (fun (path, what) ->
-          acc :=
-            {
-              severity = Regression;
-              metric = "identical:" ^ path;
-              baseline = 0.0;
-              current = 1.0;
-              limit = 0.0;
-              detail = what;
-            }
-            :: !acc)
+          add
+            (finding Regression ("identical:" ^ path) ~baseline:0.0
+               ~current:1.0 ~limit:0.0 what))
         paths;
       if total > 16 then
-        acc :=
-          {
-            severity = Regression;
-            metric = "identical";
-            baseline = 0.0;
-            current = float_of_int total;
-            limit = 0.0;
-            detail = Printf.sprintf "%d differing paths in total" total;
-          }
-          :: !acc
+        add
+          (finding Regression "identical" ~baseline:0.0
+             ~current:(float_of_int total) ~limit:0.0
+             (Printf.sprintf "%d differing paths in total" total))
     end
   end;
   let base_sections = sections baseline in
@@ -641,44 +515,17 @@ let compare_summaries ?(thresholds = default_thresholds)
     (fun (name, bs) ->
       match List.assoc_opt name cur_sections with
       | None ->
-        acc :=
-          {
-            severity = Regression;
-            metric = name;
-            baseline = 1.0;
-            current = 0.0;
-            limit = 1.0;
-            detail = "section present in baseline but missing from current run";
-          }
-          :: !acc
-      | Some cs ->
-        let sec field checker =
-          match (num_field field bs, num_field field cs) with
-          | Some b, Some c ->
-            acc :=
-              checker t ~metric:(name ^ "." ^ field) ~baseline:b ~current:c
-                !acc
-          | _ -> ()
-        in
-        if gate_thresholds then begin
-          sec "executed" check_executed;
-          sec "cache_hit_rate" check_hit_rate;
-          sec "wall_seconds" check_wall
-        end)
+        add
+          (finding Regression name ~baseline:1.0 ~current:0.0 ~limit:1.0
+             "section present in baseline but missing from current run")
+      | Some cs -> counters ~prefix:(name ^ ".") bs cs ~wall:"wall_seconds")
     base_sections;
   List.iter
     (fun (name, _) ->
       if not (List.mem_assoc name base_sections) then
-        acc :=
-          {
-            severity = Info;
-            metric = name;
-            baseline = 0.0;
-            current = 1.0;
-            limit = 0.0;
-            detail = "new section (absent from baseline)";
-          }
-          :: !acc)
+        add
+          (finding Info name ~baseline:0.0 ~current:1.0 ~limit:0.0
+             "new section (absent from baseline)"))
     cur_sections;
   let findings = List.rev !acc in
   let verdict =

@@ -2,24 +2,29 @@
     documents (a checked-in baseline and a fresh run) and decide
     whether the perf trajectory regressed.
 
-    Three families of metrics are compared, at the top level and per
-    section (matched by section name):
+    Three families of counters are compared against the baseline, at
+    the top level and per section (matched by section name):
 
     - {b executed} job counts — more profiler executions than the
       baseline means the memo cache or the batch plan regressed; the
-      gate fails when [current > baseline * (1 + executed_rel) +
-      executed_abs]. Counts are deterministic at a fixed
-      [BHIVE_SCALE], so the slack only absorbs intentional drift.
-    - {b cache-hit rate} — fails when
-      [current < baseline * (1 - hit_rate_rel)].
+      gate fails when [current > baseline * 1.10 + 4]. Counts are
+      deterministic at a fixed [BHIVE_SCALE], so the slack only absorbs
+      intentional drift.
+    - {b cache-hit rate} — fails when [current < baseline * 0.95]. The
+      store tier's [store.hit_rate] is compared the same way whenever
+      the baseline consulted a store.
     - {b wall seconds} — noisy on shared CI runners, so violations of
-      [current > baseline * (1 + wall_rel) + wall_abs] are warnings
-      unless [wall_fails] is set.
+      [current > baseline * 1.5 + 1] are warnings unless [wall_fails]
+      is set.
 
     A section present in the baseline but missing from the current
-    summary is a failure; a new section is reported as info. All
-    comparisons use strict inequality: a value exactly at its limit
-    passes. *)
+    summary is a failure; a new section is reported as info. Beyond
+    these, every row of {!gates} is evaluated. All comparisons use
+    strict inequality: a value exactly at its limit passes. *)
+
+(** The schema version every summary this harness writes carries
+    (bench runs and [bhive_load] runs alike). *)
+val schema_version : float
 
 (** Oldest summary schema the comparison understands (5.0, the first
     carrying the manifest/experiment identity and journal digest).
@@ -31,19 +36,6 @@ val min_schema_version : float
     {!min_schema_version} — or is absent entirely (schema v1) — with a
     "schema too old" message suitable for the CLI's exit-2 path. *)
 val check_schema : Json.t -> (unit, string) result
-
-type thresholds = {
-  executed_rel : float;  (** relative slack on executed counts *)
-  executed_abs : float;  (** absolute slack on executed counts *)
-  hit_rate_rel : float;  (** relative drop allowed on cache-hit rate *)
-  wall_rel : float;  (** relative slack on wall seconds *)
-  wall_abs : float;  (** absolute slack on wall seconds *)
-  wall_fails : bool;  (** wall violations fail instead of warning *)
-}
-
-(** [executed_rel = 0.10], [executed_abs = 4], [hit_rate_rel = 0.05],
-    [wall_rel = 0.50], [wall_abs = 1.0], [wall_fails = false]. *)
-val default_thresholds : thresholds
 
 type severity = Info | Warning | Regression
 
@@ -64,6 +56,57 @@ type verdict = Pass | Warn | Fail | Mismatch
 
 type report = { findings : finding list; verdict : verdict }
 
+type kind =
+  | Floor  (** current >= limit *)
+  | Ceiling  (** current <= limit *)
+  | Equal  (** current = limit *)
+  | Ratio_floor of { warn_below_parity : bool }
+      (** current >= limit x the baseline's value at the same path; with
+          [warn_below_parity], a ratio between the limit and 1.0 warns *)
+
+type bound =
+  | Flag of { name : string; docv : string; doc : string }
+      (** requested as [--name VALUE]; the value is the limit *)
+  | Fixed of float  (** always on, against this limit *)
+  | Baseline_value
+      (** always on, against the baseline's value at the same path (0
+          when the baseline lacks it) *)
+
+(** One row of the regression contract: the summary field at [path]
+    (its dotted form names the finding), the comparison [kind], where
+    the limit comes from, the schema version that introduced the field,
+    and the failure [detail] — for a ratio row, the name of the
+    measured quantity, rendered as "<detail> regressed to 0.70x
+    baseline (floor 0.80x)".
+
+    Rules shared by every row, so a new gate is one new row:
+    - an always-on row is skipped when the current summary lacks its
+      field;
+    - a requested flag row fails when the current summary's
+      [schema_version] is older than [since] ("requires a schema vN
+      summary"), when the current summary lacks the field, or — for a
+      ratio row — when the baseline lacks it or holds zero ("cannot
+      anchor a ratio"); a summary without any [schema_version] (only
+      hand-built documents: the CLI refuses them) is not
+      version-checked;
+    - rows gate in identical mode too: they are absolute or
+      baseline-anchored invariants, not the relative counter checks
+      that mode switches off. *)
+type gate = {
+  path : string list;
+  kind : kind;
+  bound : bound;
+  since : float;
+  detail : string;
+}
+
+(** The rows, in evaluation (and report) order. *)
+val gates : gate list
+
+(** The flag row named [name] (without the leading dashes).
+    @raise Not_found if no row has that flag. *)
+val find_gate : string -> gate
+
 (** Remove fields that legitimately differ between two runs of the
     same workload (wall times, utilization, tier traffic, telemetry
     snapshot, run metadata) from a summary, recursively. What remains
@@ -78,65 +121,20 @@ val strip_volatile : Json.t -> Json.t
     the top level {!strip_volatile} applies. *)
 val strip_top : Json.t -> Json.t
 
-(** [compare_summaries ?thresholds ?require_identical
-    ?min_store_hit_rate ~baseline ~current ()].
+(** [compare_summaries ?wall_fails ?require_identical ?limits ~baseline
+    ~current ()] runs the counter checks above and every row of
+    {!gates}; [limits] pairs each requested flag row with its value.
 
-    Beyond the threshold checks above, schema v4 summaries carry a
-    [store] object: its [hit_rate] is compared like the cache-hit rate
-    whenever the baseline consulted a store. [?min_store_hit_rate]
-    additionally imposes an absolute floor on the {e current} run's
-    store hit rate (the warm-cache CI gate). [?require_identical]
-    demands the two summaries be structurally equal after
-    {!strip_volatile}; each differing path fails as
-    [identical:<path>]. In identical mode the relative threshold
-    checks on counters are skipped — those fields are volatile by the
-    mode's own contract (a warm or resumed run shifts memo hits into
-    store hits) — while the absolute invariants ([faults.lost],
-    quarantine regressions, the store-hit-rate floor) still gate.
-
-    [?min_speedup] gates simulator throughput (schema v6):
-    [perf.blocks_per_sec] — simulated blocks over cumulative
-    in-simulator core-seconds, far less runner-noise-sensitive than
-    wall time — must be at least [min_speedup] x the baseline's, or
-    the gate fails; a ratio between [min_speedup] and parity is a
-    warning. A summary without the field fails the gate outright. A
-    baseline whose [perf.blocks_per_sec] is zero (a zero-block run)
-    also fails: no throughput ratio is computable from it.
-
-    Summaries written by [bhive_load] (schema v7) carry a [serving]
-    object. Whenever the current summary has one, two absolute
-    invariants gate unconditionally: [serving.lost] and
-    [serving.shed_after_accept] must both be zero — a request the
-    server accepted must be answered, not dropped. [?min_coalesce]
-    additionally imposes a floor on [serving.coalesce_ratio] (the CI
-    serve job's duplicate-sharing gate) and [?max_p99_ms] a ceiling on
-    [serving.p99_ms]; either flag fails outright when the current
-    summary lacks the field.
-
-    [?min_rps] gates end-to-end serving throughput (schema v8):
-    [serving.requests_per_sec] must be at least [min_rps] x the
-    baseline's. Like [?min_speedup], a baseline that cannot anchor the
-    ratio — a zero value, a missing field, or no [serving] object at
-    all in either summary — fails cleanly rather than passing
-    silently.
-
-    [?max_refine_error] and [?min_refine_hit_rate] gate the
-    descriptor-refinement summary (schema v9, the top-level [refine]
-    object): the search's [final_error] must not exceed the ceiling,
-    and its cross-eval [store_hit_rate] — the incremental
-    re-simulation measure — must reach the floor. Either flag against
-    a pre-v9 summary, or a v9 summary without a [refine] object, fails
-    cleanly. *)
+    [?require_identical] demands the two summaries be structurally
+    equal after {!strip_top}; each differing path fails as
+    [identical:<path>]. In identical mode the relative counter checks
+    are skipped — those fields are volatile by the mode's own contract
+    (a warm or resumed run shifts memo hits into store hits) — while
+    the gate rows still gate. *)
 val compare_summaries :
-  ?thresholds:thresholds ->
+  ?wall_fails:bool ->
   ?require_identical:bool ->
-  ?min_store_hit_rate:float ->
-  ?min_speedup:float ->
-  ?min_coalesce:float ->
-  ?max_p99_ms:float ->
-  ?min_rps:float ->
-  ?max_refine_error:float ->
-  ?min_refine_hit_rate:float ->
+  ?limits:(gate * float) list ->
   baseline:Json.t -> current:Json.t -> unit -> report
 
 val pp_report : Format.formatter -> report -> unit

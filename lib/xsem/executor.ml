@@ -47,10 +47,6 @@ let run_unrolled st mmu insts ~unroll =
   let rec repeat acc n = if n = 0 then acc else repeat (insts :: acc) (n - 1) in
   run st mmu (List.concat (repeat [] unroll))
 
-let all_accesses = function
-  | Completed steps -> List.concat_map (fun s -> s.accesses) steps
-  | Faulted { steps; _ } -> List.concat_map (fun s -> s.accesses) steps
-
 let all_events = function
   | Completed steps -> List.concat_map (fun s -> s.events) steps
   | Faulted { steps; _ } -> List.concat_map (fun s -> s.events) steps

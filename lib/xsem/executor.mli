@@ -25,6 +25,5 @@ val run :
 val run_unrolled :
   Machine_state.t -> Memsim.Mmu.t -> X86.Inst.t list -> unroll:int -> run_result
 
-val all_accesses : run_result -> Memsim.Mmu.access list
 val all_events : run_result -> Semantics.event list
 val completed : run_result -> bool

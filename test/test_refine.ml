@@ -682,7 +682,14 @@ let test_strip_top_allowlist () =
 
 let test_refine_gates () =
   let gate ?max_refine_error ?min_refine_hit_rate current =
-    Bench_diff.compare_summaries ?max_refine_error ?min_refine_hit_rate
+    let limit flag = Option.map (fun v -> (Bench_diff.find_gate flag, v)) in
+    Bench_diff.compare_summaries
+      ~limits:
+        (List.filter_map Fun.id
+           [
+             limit "max-refine-error" max_refine_error;
+             limit "min-refine-hit-rate" min_refine_hit_rate;
+           ])
       ~baseline:(base_summary ~schema:9.0 ~refine:(0.001, 0.9) ())
       ~current ()
   in

@@ -361,8 +361,12 @@ let summary ?(executed = 1000.) ?(hit_rate = 0.5) ?(wall = 10.)
       ("sections", Json.List (List.map section sections));
     ]
 
-let diff ?thresholds baseline current =
-  Bench_diff.compare_summaries ?thresholds ~baseline ~current ()
+let diff ?wall_fails baseline current =
+  Bench_diff.compare_summaries ?wall_fails ~baseline ~current ()
+
+(* The gate-table rows requested by flag name, with their values. *)
+let limits_of flags =
+  List.map (fun (flag, v) -> (Bench_diff.find_gate flag, v)) flags
 
 let check_verdict what expected report =
   let show = function
@@ -406,10 +410,7 @@ let test_diff_wall_warns_by_default () =
   let report = diff (summary ()) (summary ~wall:100. ()) in
   check_verdict "wall regression warns" Bench_diff.Warn report;
   Alcotest.(check int) "warn exits 0" 0 (Bench_diff.exit_code report);
-  let thresholds =
-    { Bench_diff.default_thresholds with wall_fails = true }
-  in
-  let report = diff ~thresholds (summary ()) (summary ~wall:100. ()) in
+  let report = diff ~wall_fails:true (summary ()) (summary ~wall:100. ()) in
   check_verdict "wall regression fails with wall_fails" Bench_diff.Fail report
 
 let test_diff_missing_section_fails () =
@@ -555,7 +556,9 @@ let test_diff_store_hit_rate () =
 
 let test_diff_min_store_hit_rate_floor () =
   let gate baseline current =
-    Bench_diff.compare_summaries ~min_store_hit_rate:0.95 ~baseline ~current ()
+    Bench_diff.compare_summaries
+      ~limits:(limits_of [ ("min-store-hit-rate", 0.95) ])
+      ~baseline ~current ()
   in
   let report =
     gate (with_store (summary ())) (with_store ~hit_rate:0.90 (summary ()))
@@ -589,7 +592,8 @@ let with_perf ?(blocks_per_sec = 1000.) s =
 
 let test_diff_min_speedup () =
   let gate baseline current =
-    Bench_diff.compare_summaries ~min_speedup:0.8 ~baseline ~current ()
+    Bench_diff.compare_summaries ~limits:(limits_of [ ("min-speedup", 0.8) ])
+      ~baseline ~current ()
   in
   let report =
     gate (with_perf (summary ())) (with_perf ~blocks_per_sec:700. (summary ()))
@@ -625,7 +629,8 @@ let test_diff_min_speedup_zero_baseline () =
      anchor no ratio — distinct from the missing-field case, and a
      failure either way rather than a divide-by-zero pass *)
   let gate baseline current =
-    Bench_diff.compare_summaries ~min_speedup:0.8 ~baseline ~current ()
+    Bench_diff.compare_summaries ~limits:(limits_of [ ("min-speedup", 0.8) ])
+      ~baseline ~current ()
   in
   let report =
     gate
@@ -692,7 +697,8 @@ let test_diff_serving_invariants () =
 
 let test_diff_min_coalesce () =
   let gate baseline current =
-    Bench_diff.compare_summaries ~min_coalesce:1.05 ~baseline ~current ()
+    Bench_diff.compare_summaries ~limits:(limits_of [ ("min-coalesce", 1.05) ])
+      ~baseline ~current ()
   in
   let report =
     gate
@@ -721,7 +727,8 @@ let test_diff_min_coalesce () =
 
 let test_diff_max_p99 () =
   let gate baseline current =
-    Bench_diff.compare_summaries ~max_p99_ms:100. ~baseline ~current ()
+    Bench_diff.compare_summaries ~limits:(limits_of [ ("max-p99-ms", 100.) ])
+      ~baseline ~current ()
   in
   let report =
     gate (with_serving (summary ())) (with_serving ~p99_ms:250. (summary ()))
@@ -743,7 +750,8 @@ let test_diff_min_rps () =
   (* schema v8: serving.requests_per_sec gated as a ratio against the
      baseline, like perf.blocks_per_sec *)
   let gate baseline current =
-    Bench_diff.compare_summaries ~min_rps:0.8 ~baseline ~current ()
+    Bench_diff.compare_summaries ~limits:(limits_of [ ("min-rps", 0.8) ])
+      ~baseline ~current ()
   in
   let report =
     gate
@@ -917,13 +925,60 @@ let golden_report_text =
 let test_diff_golden_report () =
   let baseline, current = golden_pair () in
   let report =
-    Bench_diff.compare_summaries ~min_store_hit_rate:0.95 ~min_speedup:0.8
-      ~min_coalesce:1.05 ~max_p99_ms:100. ~min_rps:0.8
-      ~max_refine_error:0.005 ~min_refine_hit_rate:0.5 ~baseline ~current ()
+    Bench_diff.compare_summaries
+      ~limits:
+        (limits_of
+           [
+             ("min-store-hit-rate", 0.95);
+             ("min-speedup", 0.8);
+             ("min-coalesce", 1.05);
+             ("max-p99-ms", 100.);
+             ("min-rps", 0.8);
+             ("max-refine-error", 0.005);
+             ("min-refine-hit-rate", 0.5);
+           ])
+      ~baseline ~current ()
   in
   Alcotest.(check string) "report text" golden_report_text
     (Format.asprintf "%a" Bench_diff.pp_report report);
   Alcotest.(check int) "exit code" 1 (Bench_diff.exit_code report)
+
+(* The refusal rules every requested row derives from the table: a
+   summary older than the row's [since], a missing field, and a ratio
+   baseline that cannot anchor. *)
+let test_diff_gate_refusals () =
+  let refusal ~limits ~baseline ~current needle =
+    let report =
+      Bench_diff.compare_summaries ~limits:(limits_of limits) ~baseline ~current ()
+    in
+    check_verdict needle Bench_diff.Fail report;
+    Alcotest.(check bool) ("detail says " ^ needle) true
+      (List.exists
+         (fun (f : Bench_diff.finding) ->
+           let n = String.length needle and d = f.detail in
+           let rec at i =
+             i + n <= String.length d
+             && (String.sub d i n = needle || at (i + 1))
+           in
+           f.severity = Bench_diff.Regression && at 0)
+         report.Bench_diff.findings)
+  in
+  let v7 = with_fields [ ("schema_version", Json.Number 7.) ] in
+  let served = with_serving ~rps:5000. (summary ()) in
+  refusal ~limits:[ ("min-rps", 0.8) ] ~baseline:served ~current:(v7 served)
+    "requires a schema v8 summary";
+  refusal ~limits:[ ("min-rps", 0.8) ]
+    ~baseline:(with_serving ~rps:0. (summary ()))
+    ~current:served "cannot anchor a ratio";
+  refusal ~limits:[ ("max-p99-ms", 100.) ] ~baseline:served
+    ~current:(summary ()) "missing from the current summary";
+  Alcotest.(check int) "flag names are unique" 7
+    (List.length
+       (List.sort_uniq compare
+          (List.filter_map
+             (fun (g : Bench_diff.gate) ->
+               match g.bound with Flag f -> Some f.name | _ -> None)
+             Bench_diff.gates)))
 
 let test_diff_schema_v5_accepted () =
   let versioned v = Json.Object [ ("schema_version", Json.Number v) ] in
@@ -989,6 +1044,7 @@ let suite =
     Alcotest.test_case "diff: strip volatile" `Quick test_strip_volatile;
     Alcotest.test_case "diff: identical mode" `Quick test_diff_identical_mode;
     Alcotest.test_case "diff: golden report" `Quick test_diff_golden_report;
+    Alcotest.test_case "diff: gate refusals" `Quick test_diff_gate_refusals;
     Alcotest.test_case "diff: schema v5 accepted" `Quick
       test_diff_schema_v5_accepted;
     Alcotest.test_case "diff: experiment mismatch" `Quick
