@@ -2,18 +2,25 @@
 
    Parallelism strategy: each batch is first resolved against the memo
    cache and deduplicated, leaving a worklist of unique jobs in
-   first-occurrence order. Worker domains pull (job, attempt) items
-   from a mutex-protected queue and write into disjoint slots of a
-   result array. Faults are decided by Faultsim purely from
-   (fingerprint, attempt, trial), so which domain runs a job — and how
-   many domains there are — cannot change any outcome; that is the
-   whole determinism argument, faults included.
+   first-occurrence order. The unique jobs sharing an (env, block) form
+   one group, and groups are queued in the order of their first member.
+   Worker domains pull whole groups from a mutex-protected queue, run
+   the members in order through one mapping memo (the Fig. 2 mapping
+   does not depend on the uarch, so each unroll factor is mapped once
+   per group), and write into disjoint slots of a result array. Faults
+   are decided by Faultsim purely from (fingerprint, attempt, trial)
+   and the profiler is deterministic per job, so which domain runs a
+   job, next to which others, and how many domains there are cannot
+   change any outcome; that is the whole determinism argument, faults
+   included.
 
    Supervision: a simulated worker crash raises Worker_crashed out of
    the worker domain. The submitting thread joins domains one by one;
    when a join re-raises Worker_crashed it requeues the in-flight job
-   (attempt + 1) or quarantines it if the budget is spent, then spawns
-   a replacement domain on the same worker slot and keeps supervising.
+   (attempt + 1) or quarantines it if the budget is spent, requeues the
+   members of its group the domain had not started (at their current
+   attempts) in the same item, then spawns a replacement domain on the
+   same worker slot and keeps supervising.
    Timeouts and failed quorum rounds are retried inside the worker
    (with deterministic exponential backoff on the simulated clock);
    only crashes cross the domain boundary, because only crashes kill
@@ -498,9 +505,45 @@ let write_quarantine_manifest t path =
   List.length qs
 
 (* The raised-out-of-a-domain representation of a simulated worker
-   crash; it never escapes run_batch. *)
+   crash; it never escapes run_batch. [unstarted] is the part of the
+   crashed job's group, as (unique index, attempt), that the domain had
+   not started yet. *)
 exception
-  Worker_crashed of { unique : int; attempt : int; worker : int }
+  Worker_crashed of {
+    unique : int;
+    attempt : int;
+    worker : int;
+    unstarted : (int * int) list;
+  }
+
+(* Unique jobs with equal (env, block) form one group: the Fig. 2
+   mapping depends on (env, block, unroll) and not on the uarch, so one
+   worker runs the whole group and maps each unroll factor once. Equal
+   keys are equal mapping inputs; the hash looks past the env (usually
+   one per batch) deep enough into the block to tell blocks apart. *)
+module Group_tbl = Hashtbl.Make (struct
+  type t = Harness.Environment.t * X86.Inst.t list
+
+  let equal = ( = )
+  let hash (_, block) = Hashtbl.hash_param 64 256 block
+end)
+
+let m_mapping_shared = Telemetry.Metrics.counter "profiler.mapping.shared"
+
+(* One group's mapping memo, keyed by unroll factor (at most two
+   entries). Local to the worker running the group, so it needs no
+   lock; it dies with the group. *)
+let group_mapper () : Harness.Profiler.mapper =
+  let memo = ref [] in
+  fun env block ~unroll ->
+    match List.assoc_opt unroll !memo with
+    | Some r ->
+      Telemetry.Metrics.incr m_mapping_shared;
+      r
+    | None ->
+      let r = Harness.Mapping.run env block ~unroll in
+      memo := (unroll, r) :: !memo;
+      r
 
 (* Structural majority vote: the first value whose marshalled
    representation reaches a strict majority of the trials. *)
@@ -527,6 +570,7 @@ let run_batch t (submission : job list) : batch =
   let n = Array.length submission in
   let results : outcome option array = Array.make n None in
   let m_ref = ref 0 in
+  let workers_ref = ref 0 in
   let batch_hits = ref 0 in
   (* disk-tier accounting; lookups happen on the submitting thread,
      writes in the workers *)
@@ -681,9 +725,27 @@ let run_batch t (submission : job list) : batch =
     let logs : attempt_record list ref array =
       Array.init m (fun _ -> ref [])
     in
-    let queue : (int * int) Queue.t = Queue.create () in
+    (* The queue holds groups, not single jobs: one item is the
+       (unique index, attempt) list of every unique job sharing an
+       (env, block), in worklist order, and items are queued in the
+       order of their first member. *)
+    let queue : (int * int) list Queue.t = Queue.create () in
     let queue_lock = Mutex.create () in
-    Array.iteri (fun u _ -> Queue.add (u, 0) queue) worklist;
+    let groups = Group_tbl.create (max 16 m) in
+    let group_order = ref [] in
+    Array.iteri
+      (fun u (_, slot) ->
+        let j = submission.(slot) in
+        match Group_tbl.find_opt groups (j.env, j.block) with
+        | Some members -> members := (u, 0) :: !members
+        | None ->
+          let members = ref [ (u, 0) ] in
+          Group_tbl.add groups (j.env, j.block) members;
+          group_order := members :: !group_order)
+      worklist;
+    List.iter
+      (fun members -> Queue.add (List.rev !members) queue)
+      (List.rev !group_order);
     let pop () =
       Mutex.lock queue_lock;
       let item = Queue.take_opt queue in
@@ -729,11 +791,13 @@ let run_batch t (submission : job list) : batch =
       mark_resolved ()
     in
     (* One real profiler invocation, with span + utilization accounting. *)
-    let execute_profiler ~worker ~attempt fp (j : job) :
+    let execute_profiler ~worker ~map ~attempt fp (j : job) :
         (Harness.Profiler.profile, Harness.Profiler.failure) result =
       let start_ns = Telemetry.Trace.now_ns () in
       let result = ref None in
-      let run () = result := Some (Harness.Profiler.profile j.env j.uarch j.block) in
+      let run () =
+        result := Some (Harness.Profiler.profile ~map j.env j.uarch j.block)
+      in
       (if Telemetry.Trace.enabled () then
          Telemetry.Trace.span "engine.execute" ~parent:batch_span
            ~attrs:(fun () ->
@@ -758,8 +822,9 @@ let run_batch t (submission : job list) : batch =
     in
     (* Run the attempts of unique job [u] starting at [attempt0].
        Timeouts and failed quorum rounds retry in place; a crash
-       escapes as Worker_crashed (the domain dies). *)
-    let run_attempts ~worker u attempt0 =
+       escapes as Worker_crashed (the domain dies), carrying
+       [unstarted], the group members after [u]. *)
+    let run_attempts ~worker ~map ~unstarted u attempt0 =
       let fp, slot = worklist.(u) in
       let fp_hex = fp in
       let j = submission.(slot) in
@@ -792,7 +857,7 @@ let run_batch t (submission : job list) : batch =
           match !base with
           | Some r -> r
           | None ->
-            let r = execute_profiler ~worker ~attempt fp j in
+            let r = execute_profiler ~worker ~map ~attempt fp j in
             base := Some r;
             r
         in
@@ -862,7 +927,7 @@ let run_batch t (submission : job list) : batch =
           Telemetry.Metrics.incr m_crashes;
           record ~attempt ~verdict:"crash" ~faults_rev:!faults_seen
             ~sim_ms:!sim_ms ~backoff_ms:(next_backoff ());
-          raise (Worker_crashed { unique = u; attempt; worker })
+          raise (Worker_crashed { unique = u; attempt; worker; unstarted })
         | `Timeout ->
           Atomic.incr a_timeouts;
           Telemetry.Metrics.incr m_timeouts;
@@ -891,29 +956,49 @@ let run_batch t (submission : job list) : batch =
       in
       go attempt0
     in
+    (* Run one queue item: its members in order, all sharing one
+       mapping memo. *)
+    let run_group ~worker item =
+      let map = group_mapper () in
+      let rec go = function
+        | [] -> ()
+        | (u, attempt) :: rest ->
+          run_attempts ~worker ~map ~unstarted:rest u attempt;
+          go rest
+      in
+      go item
+    in
     let worker_loop w () =
       let rec loop () =
         match pop () with
         | None -> ()
-        | Some (u, attempt) ->
-          run_attempts ~worker:w u attempt;
+        | Some item ->
+          run_group ~worker:w item;
           loop ()
       in
       loop ()
     in
-    (* The supervisor's half of crash recovery: requeue or quarantine
-       the in-flight job, count the replacement. *)
-    let recover ~unique ~attempt =
+    (* The supervisor's half of crash recovery: requeue the crashed job
+       (attempt + 1) or quarantine it, requeue the unstarted rest of its
+       group at their current attempts, count the replacement. *)
+    let recover ~unique ~attempt ~unstarted =
       Atomic.incr a_replenished;
       Telemetry.Metrics.incr m_replenished;
-      if attempt < t.policy.max_retries then begin
-        Atomic.incr a_retries;
-        Telemetry.Metrics.incr m_retries;
-        push (unique, attempt + 1)
-      end
-      else finalize_quarantine unique
+      let retry =
+        if attempt < t.policy.max_retries then begin
+          Atomic.incr a_retries;
+          Telemetry.Metrics.incr m_retries;
+          [ (unique, attempt + 1) ]
+        end
+        else begin
+          finalize_quarantine unique;
+          []
+        end
+      in
+      match retry @ unstarted with [] -> () | item -> push item
     in
-    let workers = min t.n_jobs m in
+    let workers = min t.n_jobs (Queue.length queue) in
+    workers_ref := workers;
     if workers <= 1 then begin
       (* Sequential path: the single worker slot "dies" on a crash and
          is immediately re-occupied; the queue discipline is the same
@@ -921,10 +1006,10 @@ let run_batch t (submission : job list) : batch =
       let rec drain () =
         match pop () with
         | None -> ()
-        | Some (u, attempt) ->
-          (try run_attempts ~worker:0 u attempt
-           with Worker_crashed { unique; attempt; _ } ->
-             recover ~unique ~attempt);
+        | Some item ->
+          (try run_group ~worker:0 item
+           with Worker_crashed { unique; attempt; unstarted; _ } ->
+             recover ~unique ~attempt ~unstarted);
           drain ()
       in
       drain ()
@@ -942,10 +1027,11 @@ let run_batch t (submission : job list) : batch =
         | (w, d) :: rest, _ -> (
           match Domain.join d with
           | () -> supervise ~fatal rest
-          | exception Worker_crashed { unique; attempt; worker } -> (
+          | exception Worker_crashed { unique; attempt; worker; unstarted }
+            -> (
             match fatal with
             | None ->
-              recover ~unique ~attempt;
+              recover ~unique ~attempt ~unstarted;
               (* replenish the pool on the same worker slot; the
                  replacement sees any requeued job before exiting *)
               let d' = Domain.spawn (worker_loop worker) in
@@ -977,7 +1063,7 @@ let run_batch t (submission : job list) : batch =
           ("submitted", Telemetry.Trace.Int n);
           ("executed", Telemetry.Trace.Int !m_ref);
           ("cache_hits", Telemetry.Trace.Int !batch_hits);
-          ("workers", Telemetry.Trace.Int (min t.n_jobs !m_ref));
+          ("workers", Telemetry.Trace.Int !workers_ref);
           ("retries", Telemetry.Trace.Int (Atomic.get a_retries));
           ("quarantined", Telemetry.Trace.Int (List.length !fresh_quarantines));
         ])

@@ -270,7 +270,14 @@ val hit_rate : stats -> float
     submission order plus the batch's quarantine manifest. Jobs whose
     fingerprint is already cached (or duplicated within the batch) are
     not re-executed; a previously quarantined fingerprint resolves to
-    its cached quarantine. Never raises on injected faults. *)
+    its cached quarantine. Never raises on injected faults.
+
+    The unique jobs that share an (env, block) — one block on several
+    uarches — run as one group on one worker, which maps each unroll
+    factor once for all of them ({!Harness.Profiler.profile}'s [?map];
+    the [profiler.mapping.shared] counter counts the mappings saved).
+    The pool has [min jobs groups] workers. Outcomes, counters and the
+    quarantine manifest are the same as with one job per queue item. *)
 val run_batch : t -> job list -> batch
 
 (** [peek t job] probes the cache hierarchy — memory memo, then the

@@ -103,11 +103,17 @@ let apply_noise (env : Environment.t) rng ~cycles
   in
   (cycles, counters)
 
-(* Mapping.run wrapped in a "profiler.mapping" span. The monitor's
-   mapping attempts are its restarts: one per intercepted fault plus
-   the final complete run. *)
-let run_mapping (env : Environment.t) block ~unroll =
-  if not (Telemetry.Trace.enabled ()) then Mapping.run env block ~unroll
+type mapper =
+  Environment.t ->
+  Inst.t list ->
+  unroll:int ->
+  (Mapping.success, Mapping.failure) result
+
+(* [map] (Mapping.run unless a caller shares mappings) wrapped in a
+   "profiler.mapping" span. The monitor's mapping attempts are its
+   restarts: one per intercepted fault plus the final complete run. *)
+let run_mapping (map : mapper) (env : Environment.t) block ~unroll =
+  if not (Telemetry.Trace.enabled ()) then map env block ~unroll
   else begin
     let result = ref None in
     Telemetry.Trace.span "profiler.mapping"
@@ -127,15 +133,15 @@ let run_mapping (env : Environment.t) block ~unroll =
           base
           @ [ ("ok", Bool false); ("error", Str (Mapping.failure_to_string f)) ]
         | None -> base)
-      (fun () -> result := Some (Mapping.run env block ~unroll));
+      (fun () -> result := Some (map env block ~unroll));
     Option.get !result
   end
 
 (* Measure one unroll factor of [block] on [descriptor]. *)
-let measure_point_untraced (env : Environment.t)
+let measure_point_untraced map (env : Environment.t)
     (descriptor : Uarch.Descriptor.t) rng (block : Inst.t list) ~unroll :
     (point, Mapping.failure) result =
-  match run_mapping env block ~unroll with
+  match run_mapping map env block ~unroll with
   | Error f -> Error f
   | Ok mapped ->
     (* One machine per (domain, uarch), reused across measure points:
@@ -192,9 +198,9 @@ let measure_point_untraced (env : Environment.t)
 
 (* One measurement = one "profiler.measure" span, carrying the unroll
    factor tried and the mapping/filter-relevant outcome. *)
-let measure_point env descriptor rng block ~unroll =
+let measure_point map env descriptor rng block ~unroll =
   if not (Telemetry.Trace.enabled ()) then
-    measure_point_untraced env descriptor rng block ~unroll
+    measure_point_untraced map env descriptor rng block ~unroll
   else begin
     let result = ref None in
     Telemetry.Trace.span "profiler.measure"
@@ -217,12 +223,14 @@ let measure_point env descriptor rng block ~unroll =
           base @ [ ("mapping_error", Str (Mapping.failure_to_string f)) ]
         | None -> base)
       (fun () ->
-        result := Some (measure_point_untraced env descriptor rng block ~unroll));
+        result :=
+          Some (measure_point_untraced map env descriptor rng block ~unroll));
     Option.get !result
   end
 
-let profile_untraced (env : Environment.t) (descriptor : Uarch.Descriptor.t)
-    (block : Inst.t list) : (profile, failure) result =
+let profile_untraced map (env : Environment.t)
+    (descriptor : Uarch.Descriptor.t) (block : Inst.t list) :
+    (profile, failure) result =
   let seed =
     Int64.add env.noise_seed
       (Bstats.Rng.seed_of_string
@@ -230,14 +238,14 @@ let profile_untraced (env : Environment.t) (descriptor : Uarch.Descriptor.t)
   in
   let rng = Bstats.Rng.create seed in
   let factors = Unroll.choose env.unroll block in
-  match measure_point env descriptor rng block ~unroll:factors.large with
+  match measure_point map env descriptor rng block ~unroll:factors.large with
   | Error f -> Error (Mapping_failed f)
   | Ok large -> (
     let small =
       if factors.small = 0 then Ok None
       else
         Result.map Option.some
-          (measure_point env descriptor rng block ~unroll:factors.small)
+          (measure_point map env descriptor rng block ~unroll:factors.small)
     in
     match small with
     | Error f -> Error (Mapping_failed f)
@@ -309,12 +317,13 @@ let record_outcome (result : (profile, failure) result) =
         [ ("reason", Telemetry.Trace.Str (failure_to_string f)) ]));
   result
 
-let profile (env : Environment.t) (descriptor : Uarch.Descriptor.t)
-    (block : Inst.t list) : (profile, failure) result =
+let profile ?(map = Mapping.run) (env : Environment.t)
+    (descriptor : Uarch.Descriptor.t) (block : Inst.t list) :
+    (profile, failure) result =
   let t0 = Telemetry.Trace.now_ns () in
   let result =
     if not (Telemetry.Trace.enabled ()) then
-      profile_untraced env descriptor block
+      profile_untraced map env descriptor block
     else begin
       let result = ref None in
       Telemetry.Trace.span "profiler.profile"
@@ -337,7 +346,7 @@ let profile (env : Environment.t) (descriptor : Uarch.Descriptor.t)
               ]
           | Some (Error f) -> base @ [ ("failure", Str (failure_to_string f)) ]
           | None -> base)
-        (fun () -> result := Some (profile_untraced env descriptor block));
+        (fun () -> result := Some (profile_untraced map env descriptor block));
       Option.get !result
     end
   in

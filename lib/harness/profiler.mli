@@ -53,11 +53,29 @@ type profile = {
   factors : Unroll.factors;
 }
 
+(** How the profiler obtains the Fig. 2 mapping of one unroll factor;
+    {!Mapping.run} has this type. *)
+type mapper =
+  Environment.t ->
+  X86.Inst.t list ->
+  unroll:int ->
+  (Mapping.success, Mapping.failure) result
+
 (** [profile env uarch block] runs the full measurement pipeline:
     page-mapping monitor, cache warm-up, repeated timed executions with
     simulated OS noise, filtering, and throughput derivation. The result
-    is deterministic in (env, uarch, block). *)
+    is deterministic in (env, uarch, block).
+
+    [map] (default {!Mapping.run}) computes each unroll factor's
+    mapping. The mapping depends only on (env, block, unroll), never on
+    the uarch, so a caller profiling one block on several uarches may
+    pass a memo that answers a repeated unroll factor with the
+    {!Mapping.success} it already computed; the profiler only reads
+    it. Any [map] that returns what {!Mapping.run} would return leaves
+    the result unchanged. The engine passes one memo per
+    (env, block) group of a batch. *)
 val profile :
+  ?map:mapper ->
   Environment.t ->
   Uarch.Descriptor.t ->
   X86.Inst.t list ->

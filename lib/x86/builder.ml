@@ -50,8 +50,6 @@ let shrd ?(w = Width.Q) dst src amount = mk ~width:w Opcode.Shrd [ dst; src; amo
 
 let imul ?(w = Width.Q) dst src = mk ~width:w Opcode.Imul_rr [ dst; src ]
 let imul3 ?(w = Width.Q) dst src imm = mk ~width:w Opcode.Imul_rr [ dst; src; imm ]
-let mul1 ?(w = Width.Q) src = mk ~width:w Opcode.Mul_1 [ src ]
-let imul1 ?(w = Width.Q) src = mk ~width:w Opcode.Imul_1 [ src ]
 let div ?(w = Width.Q) src = mk ~width:w Opcode.Div [ src ]
 let idiv ?(w = Width.Q) src = mk ~width:w Opcode.Idiv [ src ]
 let cdq = mk ~width:Width.D Opcode.Cdq []
@@ -87,7 +85,6 @@ let crc32 ?(w = Width.Q) dst src = mk ~width:w Opcode.Crc32 [ dst; src ]
 let nop = mk Opcode.Nop []
 
 let jmp target = mk Opcode.Jmp [ target ]
-let jcc cond target = mk (Opcode.Jcc cond) [ target ]
 let ret = mk Opcode.Ret []
 
 (* Vector moves *)
@@ -100,8 +97,6 @@ let movsd_x dst src = mk (Opcode.Movs_x Opcode.Sd) [ dst; src ]
 let movdqa dst src = mk Opcode.Movdqa [ dst; src ]
 let movdqu dst src = mk Opcode.Movdqu [ dst; src ]
 let movd dst src = mk ~width:Width.D Opcode.Movd [ dst; src ]
-let movq_x dst src = mk ~width:Width.Q Opcode.Movq_x [ dst; src ]
-let movntps dst src = mk (Opcode.Movnt Opcode.Ps) [ dst; src ]
 
 (* Vector FP arithmetic; SSE 2-operand or AVX 3-operand depending on the
    number of arguments. *)
@@ -109,23 +104,13 @@ let vec2 opcode dst src = mk opcode [ dst; src ]
 let vec3 opcode dst s1 s2 = mk opcode [ dst; s1; s2 ]
 
 let addps dst src = vec2 (Opcode.Fadd Opcode.Ps) dst src
-let addpd dst src = vec2 (Opcode.Fadd Opcode.Pd) dst src
 let addss dst src = vec2 (Opcode.Fadd Opcode.Ss) dst src
 let addsd dst src = vec2 (Opcode.Fadd Opcode.Sd) dst src
-let subps dst src = vec2 (Opcode.Fsub Opcode.Ps) dst src
-let subss dst src = vec2 (Opcode.Fsub Opcode.Ss) dst src
 let subsd dst src = vec2 (Opcode.Fsub Opcode.Sd) dst src
 let mulps dst src = vec2 (Opcode.Fmul Opcode.Ps) dst src
-let mulpd dst src = vec2 (Opcode.Fmul Opcode.Pd) dst src
 let mulss dst src = vec2 (Opcode.Fmul Opcode.Ss) dst src
 let mulsd dst src = vec2 (Opcode.Fmul Opcode.Sd) dst src
-let divps dst src = vec2 (Opcode.Fdiv Opcode.Ps) dst src
 let divss dst src = vec2 (Opcode.Fdiv Opcode.Ss) dst src
-let divsd dst src = vec2 (Opcode.Fdiv Opcode.Sd) dst src
-let sqrtss dst src = vec2 (Opcode.Fsqrt Opcode.Ss) dst src
-let sqrtsd dst src = vec2 (Opcode.Fsqrt Opcode.Sd) dst src
-let sqrtps dst src = vec2 (Opcode.Fsqrt Opcode.Ps) dst src
-let minps dst src = vec2 (Opcode.Fmin Opcode.Ps) dst src
 let maxps dst src = vec2 (Opcode.Fmax Opcode.Ps) dst src
 let minss dst src = vec2 (Opcode.Fmin Opcode.Ss) dst src
 let maxss dst src = vec2 (Opcode.Fmax Opcode.Ss) dst src
@@ -136,17 +121,12 @@ let xorpd dst src = vec2 (Opcode.Fxor Opcode.Pd) dst src
 let vxorps dst s1 s2 = vec3 (Opcode.Fxor Opcode.Ps) dst s1 s2
 let vaddps dst s1 s2 = vec3 (Opcode.Fadd Opcode.Ps) dst s1 s2
 let vmulps dst s1 s2 = vec3 (Opcode.Fmul Opcode.Ps) dst s1 s2
-let vaddpd dst s1 s2 = vec3 (Opcode.Fadd Opcode.Pd) dst s1 s2
-let vmulpd dst s1 s2 = vec3 (Opcode.Fmul Opcode.Pd) dst s1 s2
 let ucomiss a b = vec2 (Opcode.Ucomis Opcode.Ss) a b
-let ucomisd a b = vec2 (Opcode.Ucomis Opcode.Sd) a b
 let haddps dst src = vec2 (Opcode.Haddp Opcode.Ps) dst src
 
 (* Conversions *)
 let cvtsi2ss ?(w = Width.D) dst src = mk ~width:w (Opcode.Cvtsi2 Opcode.Ss) [ dst; src ]
-let cvtsi2sd ?(w = Width.D) dst src = mk ~width:w (Opcode.Cvtsi2 Opcode.Sd) [ dst; src ]
 let cvttss2si ?(w = Width.D) dst src = mk ~width:w (Opcode.Cvt2si (Opcode.Ss, true)) [ dst; src ]
-let cvttsd2si ?(w = Width.D) dst src = mk ~width:w (Opcode.Cvt2si (Opcode.Sd, true)) [ dst; src ]
 let cvtss2sd dst src = mk Opcode.Cvtss2sd [ dst; src ]
 let cvtsd2ss dst src = mk Opcode.Cvtsd2ss [ dst; src ]
 let cvtdq2ps dst src = mk Opcode.Cvtdq2ps [ dst; src ]
@@ -165,11 +145,8 @@ let pmovmskb dst src = mk ~width:Width.D Opcode.Pmovmskb [ dst; src ]
 let paddb dst src = vec2 (Opcode.Padd Opcode.I8) dst src
 let paddw dst src = vec2 (Opcode.Padd Opcode.I16) dst src
 let paddd dst src = vec2 (Opcode.Padd Opcode.I32) dst src
-let paddq dst src = vec2 (Opcode.Padd Opcode.I64) dst src
-let psubb dst src = vec2 (Opcode.Psub Opcode.I8) dst src
 let psubd dst src = vec2 (Opcode.Psub Opcode.I32) dst src
 let pmulld dst src = vec2 (Opcode.Pmull Opcode.I32) dst src
-let pmullw dst src = vec2 (Opcode.Pmull Opcode.I16) dst src
 let pmuludq dst src = vec2 Opcode.Pmuludq dst src
 let pmaddwd dst src = vec2 Opcode.Pmaddwd dst src
 let pand dst src = vec2 Opcode.Pand dst src
@@ -180,30 +157,17 @@ let pcmpeqb dst src = vec2 (Opcode.Pcmpeq Opcode.I8) dst src
 let pcmpeqd dst src = vec2 (Opcode.Pcmpeq Opcode.I32) dst src
 let pcmpgtd dst src = vec2 (Opcode.Pcmpgt Opcode.I32) dst src
 let pmaxsd dst src = vec2 (Opcode.Pmaxs Opcode.I32) dst src
-let pminud dst src = vec2 (Opcode.Pminu Opcode.I32) dst src
 let pslld dst amount = mk (Opcode.Psll Opcode.I32) [ dst; amount ]
-let psllq dst amount = mk (Opcode.Psll Opcode.I64) [ dst; amount ]
-let psrld dst amount = mk (Opcode.Psrl Opcode.I32) [ dst; amount ]
-let psrlq dst amount = mk (Opcode.Psrl Opcode.I64) [ dst; amount ]
-let psrad dst amount = mk (Opcode.Psra Opcode.I32) [ dst; amount ]
 let punpckldq dst src = vec2 (Opcode.Punpckl Opcode.I32) dst src
 let punpcklbw dst src = vec2 (Opcode.Punpckl Opcode.I8) dst src
 let packsswb dst src = vec2 (Opcode.Packss Opcode.I16) dst src
 let ptest a b = vec2 Opcode.Ptest a b
-let pextrd dst src imm = mk ~width:Width.D (Opcode.Pextr Opcode.I32) [ dst; src; imm ]
 let pinsrd dst src imm = mk ~width:Width.D (Opcode.Pinsr Opcode.I32) [ dst; src; imm ]
 
 (* FMA *)
 let vfmadd231ps dst s1 s2 = vec3 (Opcode.Vfmadd (231, Opcode.Ps)) dst s1 s2
-let vfmadd231pd dst s1 s2 = vec3 (Opcode.Vfmadd (231, Opcode.Pd)) dst s1 s2
-let vfmadd231ss dst s1 s2 = vec3 (Opcode.Vfmadd (231, Opcode.Ss)) dst s1 s2
-let vfmadd231sd dst s1 s2 = vec3 (Opcode.Vfmadd (231, Opcode.Sd)) dst s1 s2
-let vfmadd213ps dst s1 s2 = vec3 (Opcode.Vfmadd (213, Opcode.Ps)) dst s1 s2
-let vfnmadd231ps dst s1 s2 = vec3 (Opcode.Vfnmadd (231, Opcode.Ps)) dst s1 s2
 
 (* AVX lane ops *)
 let vbroadcastss dst src = mk (Opcode.Vbroadcast Opcode.Ss) [ dst; src ]
-let vbroadcastsd dst src = mk (Opcode.Vbroadcast Opcode.Sd) [ dst; src ]
 let vinsertf128 dst s1 s2 imm = mk Opcode.Vinsertf128 [ dst; s1; s2; imm ]
-let vextractf128 dst src imm = mk Opcode.Vextractf128 [ dst; src; imm ]
 let vzeroupper = mk Opcode.Vzeroupper []

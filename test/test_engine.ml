@@ -376,6 +376,134 @@ let test_stalls_absorbed_or_retried () =
     (clean.outcomes = stalled.outcomes);
   Alcotest.(check int) "nothing lost" 0 (Engine.lost s)
 
+(* --- cross-uarch groups ---------------------------------------------- *)
+
+(* The blocks on ivb, hsw and skl in ONE batch, AVX2 blocks skipped on
+   ivb (the bhive_validate job list): each block's jobs form one group
+   that shares its Fig. 2 mappings. *)
+let multi_uarch_jobs blocks =
+  List.concat_map
+    (fun (u : Uarch.Descriptor.t) ->
+      List.filter_map
+        (fun (b : Corpus.Block.t) ->
+          if (not u.supports_avx2) && Corpus.Block.uses_avx2 b then None
+          else
+            Some
+              {
+                Engine.env = Harness.Environment.default;
+                uarch = u;
+                block = b.insts;
+              })
+        blocks)
+    all_uarches
+
+let outcome_bytes (o : Engine.outcome) =
+  Marshal.to_string o [ Marshal.No_sharing ]
+
+(* A crash kills the domain before the later members of its group
+   start; the supervisor must requeue them beside the crashed job.
+   Whatever the worker count, nothing is lost, every completed outcome
+   is byte-identical to the fault-free batch's, and the outcomes and
+   the quarantine manifest are byte-identical across worker counts. *)
+let test_crash_mid_group () =
+  let jobs = multi_uarch_jobs (Lazy.force chaos_blocks) in
+  let clean =
+    (Engine.run_batch (Engine.create ~jobs:1 ~faults:Faultsim.none ()) jobs)
+      .outcomes
+  in
+  List.iter
+    (fun spec ->
+      let run n =
+        let what = Printf.sprintf "%s jobs=%d" spec n in
+        let engine = Engine.create ~jobs:n ~faults:(faults_of spec) () in
+        let { Engine.outcomes; _ } = Engine.run_batch engine jobs in
+        let s = Engine.stats engine in
+        Alcotest.(check bool) (what ^ ": crashes injected") true (s.crashes > 0);
+        Alcotest.(check int) (what ^ ": no lost jobs") 0 (Engine.lost s);
+        Alcotest.(check int)
+          (what ^ ": completed + quarantined = submitted")
+          s.submitted
+          (s.completed + s.quarantined);
+        Array.iteri
+          (fun i o ->
+            match o with
+            | Error (Engine.Quarantined _) -> ()
+            | _ ->
+              if outcome_bytes o <> outcome_bytes clean.(i) then
+                Alcotest.failf "%s: slot %d differs from the fault-free batch"
+                  what i)
+          outcomes;
+        let path = Filename.temp_file "bhive_quarantine" ".jsonl" in
+        ignore (Engine.write_quarantine_manifest engine path);
+        let manifest = In_channel.with_open_text path In_channel.input_all in
+        Sys.remove path;
+        (Array.map outcome_bytes outcomes, manifest)
+      in
+      let o1, m1 = run 1 in
+      List.iter
+        (fun n ->
+          let o, m = run n in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: jobs=%d outcomes = jobs=1 outcomes" spec n)
+            true (o = o1);
+          Alcotest.(check string)
+            (Printf.sprintf "%s: jobs=%d byte-identical manifest" spec n)
+            m1 m)
+        [ 2; 4 ])
+    [ "crash=0.3,stall=0.2,seed=9"; "crash=0.8,seed=5" ]
+
+(* Differential oracle for the group memo: every outcome of a
+   fault-free multi-uarch batch equals a direct profiler call, and the
+   engine runs Mapping.run once per distinct (env, block, unroll) —
+   every other mapping request is answered by the memo and counted in
+   profiler.mapping.shared. *)
+let test_group_mapping_shared () =
+  let seen = Hashtbl.create 256 in
+  let jobs =
+    List.filter
+      (fun j ->
+        let fp = Engine.fingerprint j in
+        (not (Hashtbl.mem seen fp)) && (Hashtbl.add seen fp (); true))
+      (multi_uarch_jobs (Lazy.force chaos_blocks))
+  in
+  let calls = ref 0 in
+  let keys = Hashtbl.create 256 in
+  let counting env block ~unroll =
+    incr calls;
+    Hashtbl.replace keys (env, block, unroll) ();
+    Harness.Mapping.run env block ~unroll
+  in
+  let reference =
+    List.map
+      (fun (j : Engine.job) ->
+        match Harness.Profiler.profile ~map:counting j.env j.uarch j.block with
+        | Ok p -> Ok p
+        | Error f -> Error (Engine.Profiler_failure f))
+      jobs
+  in
+  let distinct = Hashtbl.length keys in
+  Alcotest.(check bool) "unroll keys repeat across uarches" true
+    (!calls > distinct);
+  let shared = Telemetry.Metrics.counter "profiler.mapping.shared" in
+  List.iter
+    (fun n ->
+      let engine = Engine.create ~jobs:n ~faults:Faultsim.none () in
+      let before = Telemetry.Metrics.value shared in
+      let { Engine.outcomes; _ } = Engine.run_batch engine jobs in
+      let shared_calls = Telemetry.Metrics.value shared - before in
+      List.iteri
+        (fun i r ->
+          if outcome_bytes outcomes.(i) <> outcome_bytes r then
+            Alcotest.failf "jobs=%d: slot %d differs from a direct profile" n i)
+        reference;
+      Alcotest.(check int)
+        (Printf.sprintf "jobs=%d: one profile per job" n)
+        (List.length jobs) (Engine.stats engine).profiler_calls;
+      Alcotest.(check int)
+        (Printf.sprintf "jobs=%d: one Mapping.run per distinct key" n)
+        (!calls - distinct) shared_calls)
+    [ 1; 2 ]
+
 (* --- Faultsim -------------------------------------------------------- *)
 
 let test_faultsim_parse () =
@@ -461,6 +589,10 @@ let suite =
       test_certain_crash_supervision;
     Alcotest.test_case "stalls absorbed or retried" `Quick
       test_stalls_absorbed_or_retried;
+    Alcotest.test_case "crash mid-group: rest requeued, byte-identical"
+      `Quick test_crash_mid_group;
+    Alcotest.test_case "group mapping memo: oracle and shared count" `Quick
+      test_group_mapping_shared;
     Alcotest.test_case "faultsim: parse" `Quick test_faultsim_parse;
     Alcotest.test_case "faultsim: deterministic draws" `Quick
       test_faultsim_draw_deterministic;
