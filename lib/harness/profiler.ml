@@ -1,13 +1,14 @@
 (** The BHive basic-block profiler.
 
     For each unroll factor the profiler: (1) runs the monitor/measure
-    mapping algorithm, (2) replays the final execution through the cycle
-    simulator once to warm the caches (the paper's first, discarded
-    execution), then (3) takes [env.timings] timed runs, each exposed to
-    simulated OS noise. A block is accepted only if at least
-    [env.min_clean] timings are clean (no cache misses of any kind, no
-    context switches) and identical, and — when the filter is enabled —
-    no load or store crossed a cache line. *)
+    mapping algorithm, (2) replays the cache traffic of the final
+    execution to warm the caches (the paper's first, discarded
+    execution, of which only the cache contents survive), then (3)
+    takes [env.timings] timed runs, each exposed to simulated OS noise.
+    A block is accepted only if at least [env.min_clean] timings are
+    clean (no cache misses of any kind, no context switches) and
+    identical, and — when the filter is enabled — no load or store
+    crossed a cache line. *)
 
 open X86
 
@@ -145,18 +146,19 @@ let measure_point_untraced map (env : Environment.t)
   | Error f -> Error f
   | Ok mapped ->
     (* One machine per (domain, uarch), reused across measure points:
-       [~fresh] flushes the caches, which restores exactly the state a
-       newly created machine would have. *)
-    let batch = Pipeline.Batch.for_descriptor descriptor in
-    let machine = Pipeline.Batch.machine batch in
-    (* Discarded warm-up execution: fills L1D/L1I. *)
-    ignore (Pipeline.Batch.run ~fresh:true batch mapped.steps);
-    (* Steady-state timed executions. The simulated machine is
-       deterministic once warm, so one simulation gives the noise-free
-       cycle count; each of the [env.timings] measurements then sees its
-       own independently sampled OS noise, exactly what the repeat-and-
-       filter protocol exists to reject. *)
-    let base = Pipeline.Machine.run machine mapped.steps in
+       [measure] flushes its caches first, which restores exactly the
+       state a newly created machine would have, then replays the
+       discarded warm-up's cache traffic and simulates the timed run.
+       The simulated machine is deterministic once warm, so one timed
+       simulation gives the noise-free cycle count; each of the
+       [env.timings] measurements then sees its own independently
+       sampled OS noise, exactly what the repeat-and-filter protocol
+       exists to reject. *)
+    let base =
+      Pipeline.Machine.measure
+        (Pipeline.Batch.for_descriptor descriptor)
+        mapped.steps
+    in
     let timings =
       List.init env.timings (fun _ ->
           let cycles, counters =

@@ -62,9 +62,10 @@ type mapper =
   (Mapping.success, Mapping.failure) result
 
 (** [profile env uarch block] runs the full measurement pipeline:
-    page-mapping monitor, cache warm-up, repeated timed executions with
-    simulated OS noise, filtering, and throughput derivation. The result
-    is deterministic in (env, uarch, block).
+    page-mapping monitor, a cache replay of the discarded warm-up
+    execution, repeated timed executions with simulated OS noise,
+    filtering, and throughput derivation. The result is deterministic in
+    (env, uarch, block).
 
     [map] (default {!Mapping.run}) computes each unroll factor's
     mapping. The mapping depends only on (env, block, unroll), never on

@@ -422,9 +422,10 @@ let print_ground_truth_schedule fmt uarch block =
     Format.fprintf fmt "cannot map block: %s@."
       (Harness.Mapping.failure_to_string f)
   | Ok mapped ->
-    let machine = Pipeline.Machine.create uarch in
-    ignore (Pipeline.Machine.run machine mapped.steps);
-    let r = Pipeline.Machine.run ~record_schedule:true machine mapped.steps in
+    let r =
+      Pipeline.Machine.measure ~record_schedule:true
+        (Pipeline.Machine.create uarch) mapped.steps
+    in
     let insts = Array.of_list block in
     Format.fprintf fmt "@.ground-truth schedule (4 unrolled iterations, warm):@.";
     List.iter

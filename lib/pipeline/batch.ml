@@ -3,48 +3,36 @@
     machine state per block.
 
     [Memsim.Cache.flush] restores a cache to its freshly-created state,
-    and {!Core.Scratch} resets by epoch bump, so a [~fresh:true] run on a
-    reused machine is byte-identical to a run on a brand-new one; the
-    identity is pinned by the test suite and by the bench diff gate. *)
+    and {!Core.Scratch} resets by epoch bump, so a run after
+    {!Machine.reset} on a reused machine is byte-identical to a run on a
+    brand-new one; the identity is pinned by the test suite and by the
+    bench diff gate. *)
 
-type t = { machine : Machine.t }
-
-let create (d : Uarch.Descriptor.t) = { machine = Machine.create d }
-let machine t = t.machine
-
-(** Simulate one block. [fresh] (default [false]) flushes the caches
-    first, making the run independent of previously simulated blocks;
-    leave it unset to model a warm machine across consecutive runs of
-    the same block (the profiler's warmup/measure pattern). *)
-let run ?record_schedule ?(fresh = false) t steps =
-  if fresh then Machine.reset t.machine;
-  Machine.run ?record_schedule t.machine steps
-
-(* Per-domain batch cache, keyed by descriptor physical identity. The
+(* Per-domain machine cache, keyed by descriptor physical identity. The
    shipped descriptors are module-level constants, so this holds at most
-   a few entries per domain; domains never share a batch, keeping the
+   a few entries per domain; domains never share a machine, keeping the
    mutable scratch state race-free. *)
-let dls_cache : (Uarch.Descriptor.t * t) list ref Domain.DLS.key =
+let dls_cache : (Uarch.Descriptor.t * Machine.t) list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
-(** The calling domain's cached batch for [d], created on first use. *)
+(** The calling domain's cached machine for [d], created on first use. *)
 let for_descriptor (d : Uarch.Descriptor.t) =
   let cache = Domain.DLS.get dls_cache in
-  let rec find = function
-    | [] -> None
-    | (d', b) :: tl -> if d' == d then Some b else find tl
-  in
-  match find !cache with
-  | Some b -> b
+  match List.assq_opt d !cache with
+  | Some m -> m
   | None ->
-    let b = create d in
-    cache := (d, b) :: !cache;
-    b
+    let m = Machine.create d in
+    cache := (d, m) :: !cache;
+    m
 
 (** Simulate many independent blocks under one machine; each block runs
-    from cold caches ([fresh]), so results match per-block
-    [Machine.create] exactly. *)
+    from cold caches, so results match per-block [Machine.create]
+    exactly. *)
 let simulate_batch ?record_schedule (d : Uarch.Descriptor.t)
     (steps_list : Xsem.Executor.step list list) : Core.result list =
-  let b = for_descriptor d in
-  List.map (fun steps -> run ?record_schedule ~fresh:true b steps) steps_list
+  let m = for_descriptor d in
+  List.map
+    (fun steps ->
+      Machine.reset m;
+      Machine.run ?record_schedule m steps)
+    steps_list

@@ -156,6 +156,30 @@ module Scratch = struct
     && t.retire_width = d.retire_width
 end
 
+(* A memory uop with no recorded access falls back to an 8-byte access
+   at physical address 0. The fallback is a known modelling defect (a
+   256-bit access the executor records once can decompose into two
+   memory uops); the always-on counter keeps it visible. *)
+let m_unbacked = Telemetry.Metrics.counter "pipeline.unbacked_mem_uops"
+
+(* The [i]-th recorded access of a memory uop's kind, or the fallback. *)
+let recorded_access (accesses : (int64 * int) array) i =
+  if i < Array.length accesses then accesses.(i)
+  else begin
+    Telemetry.Metrics.incr m_unbacked;
+    (0L, 8)
+  end
+
+(* Fetch one instruction line through the L1I. Instruction lines refill
+   from the unified L2, tagged into a distinct address range so they do
+   not alias data lines. Returns 0 on an L1I hit, 1 on an L1I miss that
+   hits the L2, 2 on a miss in both. *)
+let fetch_line ~l1i ~l2 line =
+  if Memsim.Cache.access_line l1i (Int64.of_int line) then 0
+  else if Memsim.Cache.access_line l2 (Int64.add 0x4000000L (Int64.of_int line))
+  then 1
+  else 2
+
 let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
     ~(l1d : Memsim.Cache.t) ~(l1i : Memsim.Cache.t) ~(l2 : Memsim.Cache.t)
     (trace : Trace.dyn_inst list) : result =
@@ -248,13 +272,11 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
       let line0 = di.code_addr / 64
       and line1 = (di.code_addr + st.s_code_len - 1) / 64 in
       for line = line0 to line1 do
-        if not (Memsim.Cache.access_line l1i (Int64.of_int line)) then begin
+        let fetch = fetch_line ~l1i ~l2 line in
+        if fetch > 0 then begin
           c.l1i_misses <- c.l1i_misses + 1;
-          (* instruction lines refill from the unified L2; tag them into
-             a distinct address range so they do not alias data lines *)
-          let l2_line = Int64.add 0x4000000L (Int64.of_int line) in
           let extra =
-            if Memsim.Cache.access_line l2 l2_line then 0
+            if fetch = 1 then 0
             else begin
               c.l2_misses <- c.l2_misses + 1;
               d.l2_miss_penalty
@@ -329,10 +351,7 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
           let ready, latency_extra, busy =
             match kind with
             | 1 (* Load *) ->
-              let paddr, size =
-                if !load_idx < Array.length di.loads then di.loads.(!load_idx)
-                else (0L, 8)
-              in
+              let paddr, size = recorded_access di.loads !load_idx in
               let vaddr =
                 if !load_idx < Array.length di.load_vaddrs then
                   di.load_vaddrs.(!load_idx)
@@ -418,10 +437,7 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
             prev_exec_complete := complete;
             last_exec_complete := max !last_exec_complete complete
           | 3 (* Store_data *) ->
-            let paddr, size =
-              if !store_idx < Array.length di.stores then di.stores.(!store_idx)
-              else (0L, 8)
-            in
+            let paddr, size = recorded_access di.stores !store_idx in
             let vaddr =
               if !store_idx < Array.length di.store_vaddrs then
                 di.store_vaddrs.(!store_idx)
@@ -482,3 +498,41 @@ let simulate ?(record_schedule = false) ?scratch (d : Descriptor.t)
     trace;
   c.core_cycles <- !finish_time;
   { cycles = !finish_time; counters = c; schedule = List.rev !schedule }
+
+(** Replay only the cache traffic of {!simulate} on [trace]: the same
+    [Memsim.Cache] calls, in the same order, and nothing else. The order
+    in which [simulate] touches the caches depends only on trace order,
+    never on timing: per instruction, its L1I lines (each miss refilling
+    from the L2), then, unless the instruction is eliminated, one L1D
+    access per load and store-data uop in decomposition order (each miss
+    going on to the L2). [warm] therefore leaves the caches exactly as a
+    discarded [simulate] would, without the port schedule, ROB,
+    forwarding table or counters. *)
+let warm ~(l1d : Memsim.Cache.t) ~(l1i : Memsim.Cache.t) ~(l2 : Memsim.Cache.t)
+    (trace : Trace.dyn_inst list) =
+  let data accesses i =
+    let addr, size = recorded_access accesses i in
+    if Memsim.Cache.access l1d ~addr ~size > 0 then
+      ignore (Memsim.Cache.access l2 ~addr ~size)
+  in
+  List.iter
+    (fun (di : Trace.dyn_inst) ->
+      let st = di.static in
+      for line = di.code_addr / 64 to (di.code_addr + st.s_code_len - 1) / 64 do
+        ignore (fetch_line ~l1i ~l2 line)
+      done;
+      if not st.s_eliminated then begin
+        let loads = ref 0 and stores = ref 0 in
+        Array.iter
+          (fun code ->
+            match Flat.code_kind code with
+            | 1 (* Load *) ->
+              data di.loads !loads;
+              incr loads
+            | 3 (* Store_data *) ->
+              data di.stores !stores;
+              incr stores
+            | _ -> ())
+          st.s_codes
+      end)
+    trace

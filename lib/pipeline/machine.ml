@@ -1,8 +1,9 @@
-(** A simulated machine: one microarchitecture core plus its private L1
-    caches. Cache contents persist across [run] calls until [reset],
-    mirroring warm-up behaviour on real hardware. The machine also owns
-    the simulator's scratch state ({!Core.Scratch}), so repeated [run]
-    calls perform no per-simulation machine-state allocation. *)
+(** A simulated machine: one microarchitecture core plus its caches,
+    private L1D and L1I and a unified L2. Cache contents persist across
+    [run] calls until [reset], mirroring warm-up behaviour on real
+    hardware. The machine also owns the simulator's scratch state
+    ({!Core.Scratch}), so repeated [run] calls perform no per-simulation
+    machine-state allocation. *)
 
 type t = {
   descriptor : Uarch.Descriptor.t;
@@ -12,12 +13,14 @@ type t = {
   scratch : Core.Scratch.t;
 }
 
-(* Always-on throughput accounting: simulated blocks and cumulative
-   in-simulator nanoseconds. Two plain atomic counters per run — cheap
-   enough to never gate, and the source of the bench summary's
-   blocks-per-second figure. *)
+(* Always-on throughput accounting: timed simulations, their
+   in-simulator nanoseconds (trace build plus cycle loop) and the
+   nanoseconds spent replaying warm-up cache traffic. Plain atomic
+   counters — cheap enough to never gate, and the source of the bench
+   summary's blocks-per-second figure. *)
 let m_blocks = Telemetry.Metrics.counter "pipeline.blocks"
 let m_sim_ns = Telemetry.Metrics.counter "pipeline.sim_ns"
+let m_warm_ns = Telemetry.Metrics.counter "pipeline.warm_ns"
 
 let create (descriptor : Uarch.Descriptor.t) =
   {
@@ -33,24 +36,13 @@ let reset t =
   Memsim.Cache.flush t.l1i;
   Memsim.Cache.flush t.l2
 
-(* Simulate the timing of one completed architectural execution. The
-   telemetry span wraps the whole decode+simulate step; the branch on
-   [Trace.enabled] keeps the traced path (closure, attribute thunk) off
-   the hot path when no sink is installed. *)
-let run ?record_schedule t (steps : Xsem.Executor.step list) : Core.result =
-  let simulate () =
-    let t0 = Telemetry.Trace.now_ns () in
-    let trace = Trace.of_steps t.descriptor steps in
-    let r =
-      Core.simulate ?record_schedule ~scratch:t.scratch t.descriptor
-        ~l1d:t.l1d ~l1i:t.l1i ~l2:t.l2 trace
-    in
-    Telemetry.Metrics.add m_sim_ns
-      (Int64.to_int (Int64.sub (Telemetry.Trace.now_ns ()) t0));
-    Telemetry.Metrics.incr m_blocks;
-    r
-  in
-  if not (Telemetry.Trace.enabled ()) then simulate ()
+let elapsed_ns t0 = Int64.to_int (Int64.sub (Telemetry.Trace.now_ns ()) t0)
+
+(* One timed simulation [f], wrapped in a "pipeline.simulate" span. The
+   branch on [Trace.enabled] keeps the traced path (closure, attribute
+   thunk) off the hot path when no sink is installed. *)
+let traced t (f : unit -> Core.result) =
+  if not (Telemetry.Trace.enabled ()) then f ()
   else begin
     let result = ref None in
     Telemetry.Trace.span "pipeline.simulate"
@@ -74,6 +66,38 @@ let run ?record_schedule t (steps : Xsem.Executor.step list) : Core.result =
             ( "port_contention_cycles",
               Telemetry.Trace.Int c.port_contention_cycles );
           ])
-      (fun () -> result := Some (simulate ()));
+      (fun () -> result := Some (f ()));
     match !result with Some r -> r | None -> assert false
   end
+
+let simulate ?record_schedule t trace =
+  Core.simulate ?record_schedule ~scratch:t.scratch t.descriptor ~l1d:t.l1d
+    ~l1i:t.l1i ~l2:t.l2 trace
+
+(* Simulate the timing of one completed architectural execution. *)
+let run ?record_schedule t (steps : Xsem.Executor.step list) : Core.result =
+  traced t (fun () ->
+      let t0 = Telemetry.Trace.now_ns () in
+      let r = simulate ?record_schedule t (Trace.of_steps t.descriptor steps) in
+      Telemetry.Metrics.add m_sim_ns (elapsed_ns t0);
+      Telemetry.Metrics.incr m_blocks;
+      r)
+
+(* The profiler's warm-then-time pattern on one trace: the warm-up is a
+   cache-only replay, so only the timed run counts as a simulated block
+   and only its trace build and cycle loop count as simulator time. *)
+let measure ?record_schedule t (steps : Xsem.Executor.step list) : Core.result =
+  reset t;
+  traced t (fun () ->
+      let t0 = Telemetry.Trace.now_ns () in
+      let trace = Trace.of_steps t.descriptor steps in
+      let build_ns = elapsed_ns t0 in
+      let t1 = Telemetry.Trace.now_ns () in
+      Core.warm ~l1d:t.l1d ~l1i:t.l1i ~l2:t.l2 trace;
+      let warm_ns = elapsed_ns t1 in
+      let t2 = Telemetry.Trace.now_ns () in
+      let r = simulate ?record_schedule t trace in
+      Telemetry.Metrics.add m_sim_ns (build_ns + elapsed_ns t2);
+      Telemetry.Metrics.add m_warm_ns warm_ns;
+      Telemetry.Metrics.incr m_blocks;
+      r)

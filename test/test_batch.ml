@@ -174,6 +174,116 @@ let test_batch_mixed_block () =
           (Pipeline.simulate_batch d [ mapped.steps; mapped.steps ]))
       uarches
 
+(* The profiler's measure path: [Machine.measure] replays the discarded
+   warm-up's cache traffic ([Core.warm]) instead of simulating it. The
+   oracle runs over the perfbench default corpus (scale 800), on every
+   uarch and both unroll factors, against the reference written out
+   here: a flushed machine, one discarded [Machine.run], one timed
+   [Machine.run]. Per point it checks that [Core.warm] and
+   [Core.simulate] leave two fresh machines' caches structurally equal
+   (tags, LRU stamps, clock, hit/miss counts) on the same trace, and
+   that [Machine.measure] returns the reference's cycles and every
+   counter. *)
+let test_measure_oracle () =
+  let env = Harness.Environment.default in
+  let blocks =
+    Corpus.Suite.generate
+      ~config:{ Corpus.Suite.default_config with scale = 800 }
+      ()
+  in
+  let caches (m : Pipeline.Machine.t) = (m.l1d, m.l1i, m.l2) in
+  let points = ref 0 and failures = ref [] in
+  let fail what (b : Corpus.Block.t) (d : Uarch.Descriptor.t) unroll =
+    failures :=
+      Printf.sprintf "%s: %s on %s, unroll %d" what (print_block b.insts)
+        d.short unroll
+      :: !failures
+  in
+  List.iter
+    (fun (b : Corpus.Block.t) ->
+      let factors = Harness.Unroll.choose env.unroll b.insts in
+      List.iter
+        (fun unroll ->
+          match Harness.Mapping.run env b.insts ~unroll with
+          | Error _ -> ()
+          | Ok mapped ->
+            List.iter
+              (fun (d : Uarch.Descriptor.t) ->
+                if d.supports_avx2 || not (Corpus.Block.uses_avx2 b) then begin
+                  incr points;
+                  let trace = Pipeline.Trace.of_steps d mapped.steps in
+                  let warmed = Pipeline.Machine.create d in
+                  Pipeline.Core.warm ~l1d:warmed.l1d ~l1i:warmed.l1i
+                    ~l2:warmed.l2 trace;
+                  let simulated = Pipeline.Machine.create d in
+                  ignore
+                    (Pipeline.Core.simulate ~scratch:simulated.scratch d
+                       ~l1d:simulated.l1d ~l1i:simulated.l1i ~l2:simulated.l2
+                       trace);
+                  if caches warmed <> caches simulated then
+                    fail "caches after warm <> after simulate" b d unroll;
+                  let reference =
+                    let m = Pipeline.Machine.create d in
+                    Pipeline.Machine.reset m;
+                    ignore (Pipeline.Machine.run m mapped.steps);
+                    Pipeline.Machine.run m mapped.steps
+                  in
+                  let measured =
+                    Pipeline.Machine.measure
+                      (Pipeline.Batch.for_descriptor d)
+                      mapped.steps
+                  in
+                  if
+                    measured.cycles <> reference.cycles
+                    || not (counters_equal measured.counters reference.counters)
+                  then fail "measure <> warm-up run + timed run" b d unroll
+                end)
+              uarches)
+        (List.filter (fun u -> u > 0) [ factors.large; factors.small ]))
+    blocks;
+  Alcotest.(check bool) "oracle covers the corpus" true (!points > 2000);
+  match List.rev !failures with
+  | [] -> ()
+  | first :: _ as all ->
+    Alcotest.failf "%d of %d points differ; first: %s" (List.length all)
+      !points first
+
+(* A 256-bit vmovups on ivb decomposes into two load uops while the
+   executor records one 32-byte access, so the second uop takes the
+   8-byte fallback at physical address 0. Outputs keep that behaviour
+   (fixing it changes measurements); the always-on counter surfaces it,
+   once per unbacked uop in [simulate] and once in [warm]. Haswell's
+   single 256-bit load uop is fully backed. *)
+let test_unbacked_mem_uops () =
+  let block = Parser.block_exn "vmovups (%rdi), %ymm1" in
+  let unbacked = Telemetry.Metrics.counter "pipeline.unbacked_mem_uops" in
+  match Harness.Mapping.run Harness.Environment.default block ~unroll:1 with
+  | Error f -> Alcotest.failf "%s" (Harness.Mapping.failure_to_string f)
+  | Ok mapped ->
+    let count (d : Uarch.Descriptor.t) f =
+      let m = Pipeline.Machine.create d in
+      let trace = Pipeline.Trace.of_steps d mapped.steps in
+      let before = Telemetry.Metrics.value unbacked in
+      f m trace;
+      Telemetry.Metrics.value unbacked - before
+    in
+    let simulate (m : Pipeline.Machine.t) trace =
+      ignore
+        (Pipeline.Core.simulate ~scratch:m.scratch m.descriptor ~l1d:m.l1d
+           ~l1i:m.l1i ~l2:m.l2 trace)
+    in
+    let warm (m : Pipeline.Machine.t) trace =
+      Pipeline.Core.warm ~l1d:m.l1d ~l1i:m.l1i ~l2:m.l2 trace
+    in
+    let measure (m : Pipeline.Machine.t) _ =
+      ignore (Pipeline.Machine.measure m mapped.steps)
+    in
+    let ivb = Uarch.All.ivy_bridge and hsw = Uarch.All.haswell in
+    Alcotest.(check int) "ivb simulate" 1 (count ivb simulate);
+    Alcotest.(check int) "ivb warm" 1 (count ivb warm);
+    Alcotest.(check int) "ivb measure" 2 (count ivb measure);
+    Alcotest.(check int) "hsw simulate" 0 (count hsw simulate)
+
 let suite =
   [
     batch_matches_fresh;
@@ -182,4 +292,8 @@ let suite =
     Alcotest.test_case "flat table digests golden" `Quick
       test_flat_digest_golden;
     Alcotest.test_case "batch mixed block" `Quick test_batch_mixed_block;
+    Alcotest.test_case "measure == warm-up run + timed run (corpus)" `Slow
+      test_measure_oracle;
+    Alcotest.test_case "unbacked memory uops counted" `Quick
+      test_unbacked_mem_uops;
   ]
