@@ -71,28 +71,10 @@ let clamp_policy p =
     quorum = max 1 p.quorum;
   }
 
-let policy_override = ref default_policy
-
-let set_default_policy ?max_retries ?deadline_ms ?backoff_ms ?quorum () =
-  let p = !policy_override in
-  policy_override :=
-    clamp_policy
-      {
-        max_retries = Option.value max_retries ~default:p.max_retries;
-        deadline_ms = Option.value deadline_ms ~default:p.deadline_ms;
-        backoff_ms = Option.value backoff_ms ~default:p.backoff_ms;
-        quorum = Option.value quorum ~default:p.quorum;
-      }
-
 (* backoff before attempt [k+1], simulated ms *)
 let backoff_of p k = p.backoff_ms * (1 lsl min k 20)
 
 (* --- persistent store tier -------------------------------------------- *)
-
-(* Process-default store path: the [--store] CLI flag wins over
-   [BHIVE_STORE]; unset/empty means no disk tier. *)
-let store_override : string option ref = ref None
-let set_default_store path = store_override := Some path
 
 let store_path_from_env () =
   match Sys.getenv_opt "BHIVE_STORE" with
@@ -106,11 +88,9 @@ let store_path_from_env () =
            s)
     else Ok (Some s)
 
+(* Unset/empty [BHIVE_STORE] means no disk tier. *)
 let default_store_path () =
-  match !store_override with
-  | Some _ as p -> p
-  | None -> (
-    match store_path_from_env () with Ok p -> p | Error msg -> failwith msg)
+  match store_path_from_env () with Ok p -> p | Error msg -> failwith msg
 
 let jobs_from_env () =
   match Sys.getenv_opt "BHIVE_JOBS" with
@@ -324,7 +304,7 @@ let open_store path =
 let create ?jobs ?progress ?faults ?store ?store_path ?max_retries ?deadline_ms
     ?backoff_ms ?quorum ?(block_generation = false) () =
   let n_jobs = max 1 (match jobs with Some n -> n | None -> default_jobs ()) in
-  let faults = match faults with Some f -> f | None -> Faultsim.default () in
+  let faults = match faults with Some f -> f | None -> Faultsim.of_env () in
   let store =
     (* an already-open handle wins over any path: the store's
        cross-process file locks are per-process, so several engines of
@@ -339,7 +319,7 @@ let create ?jobs ?progress ?faults ?store ?store_path ?max_retries ?deadline_ms
       in
       Option.map open_store store_path
   in
-  let base = !policy_override in
+  let base = default_policy in
   let policy =
     clamp_policy
       {
@@ -425,35 +405,6 @@ let generation_for t fp (j : job) =
    record per job, superseded when the descriptor changes. *)
 let store_key t fp gen =
   match t.block_gen with None -> fp | Some _ -> fp ^ "@" ^ gen
-
-(* Cache probe without execution: memo tier, then the disk store. A
-   store hit fills the memo so later probes and batches resolve in
-   memory. Same threading contract as [run_batch] — submitting thread
-   only (the memo Hashtbl is unsynchronised); the serve dispatcher is
-   that thread. *)
-let peek t (j : job) : outcome option =
-  let fp = fingerprint j in
-  match Hashtbl.find_opt t.cache fp with
-  | Some r ->
-    t.cache_hits <- t.cache_hits + 1;
-    Some r
-  | None -> (
-    match t.store with
-    | None -> None
-    | Some st -> (
-      let gen = generation_for t fp j in
-      match Store.get st ~key:(store_key t fp gen) ~gen with
-      | Store.Hit payload -> (
-        match
-          try Some (Marshal.from_string payload 0 : outcome) with _ -> None
-        with
-        | Some r ->
-          t.store_hit_count <- t.store_hit_count + 1;
-          Telemetry.Metrics.incr m_store_hits;
-          Hashtbl.replace t.cache fp r;
-          Some r
-        | None -> None)
-      | Store.Stale | Store.Miss -> None))
 
 let stats t =
   {

@@ -94,13 +94,6 @@ type policy = {
 
 val default_policy : policy
 
-(** Process-default policy overrides (set by the [--max-retries] /
-    [--quorum] CLI flags before the first engine is created). Values
-    are clamped: [max_retries >= 0], [quorum >= 1]. *)
-val set_default_policy :
-  ?max_retries:int -> ?deadline_ms:int -> ?backoff_ms:int -> ?quorum:int ->
-  unit -> unit
-
 (** {1 Outcomes and quarantine} *)
 
 (** One attempt of one job, as recorded in the quarantine manifest and
@@ -146,10 +139,12 @@ type batch = { outcomes : outcome array; quarantined : quarantine list }
 
 (** Cumulative engine counters. [submitted] is every job ever handed to
     the engine; [executed] is how many {e unique fresh} jobs the engine
-    resolved by running (measured or quarantined);
-    [cache_hits = submitted - executed] counts memoised results
-    (including duplicates within a single batch). The accounting
-    identity [completed + quarantined = submitted] always holds —
+    resolved by running (measured or quarantined); [cache_hits] counts
+    memoised results (including duplicates within a single batch); and
+    [store_hits] counts jobs answered from the disk store. Every
+    submitted job is exactly one of these, so
+    [submitted = executed + cache_hits + store_hits]. The accounting
+    identity [completed + quarantined = submitted] also always holds —
     {!lost} is 0 unless the engine itself is broken. *)
 type stats = {
   submitted : int;
@@ -188,8 +183,9 @@ type t
     [$BHIVE_JOBS], falling back to [Domain.recommended_domain_count ()];
     values are clamped to at least 1. [progress] is invoked (under a
     lock) once per resolved unique job. [faults] defaults to
-    {!Faultsim.default} (i.e. [$BHIVE_FAULTS] unless overridden); the
-    policy fields default to {!set_default_policy}'s current values.
+    {!Faultsim.of_env} ([$BHIVE_FAULTS]); the policy fields default to
+    {!default_policy}'s and are clamped: [max_retries >= 0],
+    [quorum >= 1].
 
     [store] (an already-open handle) wins over [store_path]: the
     store's cross-process file locks are per-process, so multiple
@@ -217,7 +213,7 @@ val create :
     default scheme so their store keys and golden pins are unchanged. *)
 
 (** The shared process-wide engine (created on first use from
-    [BHIVE_JOBS] / [BHIVE_FAULTS] / the default-policy overrides).
+    [BHIVE_JOBS] / [BHIVE_FAULTS] / [BHIVE_STORE] and {!default_policy}).
     Drivers that are not handed an explicit engine use this one, so
     independent experiment sections share its memo cache. *)
 val default : unit -> t
@@ -235,17 +231,12 @@ val jobs_from_env : unit -> (int option, string) result
 
 (** {1 Persistent store tier} *)
 
-(** Process-default store path (the [--store] CLI flag; wins over
-    [$BHIVE_STORE]). Must be called before the first engine is
-    created. *)
-val set_default_store : string -> unit
-
 (** [$BHIVE_STORE] parsed strictly: unset/empty is [Ok None]; a path
     that exists but is not a directory is [Error msg]. *)
 val store_path_from_env : unit -> (string option, string) result
 
-(** The store path [create] uses when [?store_path] is omitted: the
-    {!set_default_store} override if any, else [$BHIVE_STORE]. *)
+(** The store path [create] uses when [?store_path] is omitted:
+    [$BHIVE_STORE]. *)
 val default_store_path : unit -> string option
 
 (** Validate every engine-relevant environment variable
@@ -279,15 +270,6 @@ val hit_rate : stats -> float
     The pool has [min jobs groups] workers. Outcomes, counters and the
     quarantine manifest are the same as with one job per queue item. *)
 val run_batch : t -> job list -> batch
-
-(** [peek t job] probes the cache hierarchy — memory memo, then the
-    disk store — without executing anything. [Some outcome] is exactly
-    what {!run_batch} would return for the job without a profiler
-    call; [None] means resolving it requires execution. A store hit
-    fills the memo. Same threading contract as {!run_batch}: the
-    submitting thread only. This is the serve dispatcher's warm fast
-    path — a warm request is answered without occupying a batch slot. *)
-val peek : t -> job -> outcome option
 
 (** [profile t env uarch block] submits a single job — a memoising,
     supervised drop-in for {!Harness.Profiler.profile}. *)

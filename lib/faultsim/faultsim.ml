@@ -67,10 +67,6 @@ let env_result () =
 let of_env () =
   match env_result () with Ok c -> c | Error msg -> failwith msg
 
-let override = ref None
-let set_default c = override := Some c
-let default () = match !override with Some c -> c | None -> of_env ()
-
 type fault = Crash | Stall of int | Corrupt of int64
 
 let fault_to_string = function

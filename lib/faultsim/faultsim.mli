@@ -56,13 +56,6 @@ val env_result : unit -> (config, string) result
     silently ran without chaos would defeat its purpose. *)
 val of_env : unit -> config
 
-(** Process-default override (set by the [--faults] CLI flag, consulted
-    by [Engine.create] when no explicit config is passed). *)
-val set_default : config -> unit
-
-(** The override if set, else {!of_env}. *)
-val default : unit -> config
-
 (** One injected fault. *)
 type fault =
   | Crash  (** the worker domain executing the job dies *)

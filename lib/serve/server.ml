@@ -10,19 +10,22 @@
    - handler threads parse requests (through a resolution cache, so
      the x86 parser and the fingerprint sha256 run once per unique
      block), answer repeats of already-computed blocks straight from
-     a rendered-answer cache, admit the rest into the bounded
-     per-shard queues (or refuse: Overloaded / Shutting_down /
-     Bad_request), block on their waiter until a dispatcher fulfils
-     it, and write the response under a send timeout so a slow client
-     cannot wedge a dispatcher result;
+     an answer cache, admit the rest into the bounded per-shard
+     queues (or refuse: Overloaded / Shutting_down / Bad_request),
+     block on their waiters until a dispatcher fulfils them, and
+     write the response under a send timeout so a slow client cannot
+     wedge a dispatcher result. A v1 [predict] takes the same path as
+     a one-slot v2 [predict_batch]; only the framing of the answer
+     differs;
    - one dispatcher *domain* per shard owns that shard's engine
      (Engine.run_batch's memo cache is submitting-thread-only, and an
      engine created with [~jobs:1] executes its batch inline on the
      calling domain, so each dispatcher domain gets its own
      [Pipeline.Batch] machine through the existing Domain.DLS
      discipline): it pops up to [batch_max] queued entries, sheds the
-     expired ones, answers warm ones via Engine.peek, micro-batches
-     the rest through [Engine.run_batch], and fulfils every waiter.
+     expired ones, hands the rest to [Engine.run_batch] (which answers
+     memo and store hits without executing them), and fulfils every
+     waiter.
 
    Sharding: requests are routed by the hash of the job fingerprint,
    so every request for a given block lands on the same shard — which
@@ -75,9 +78,11 @@ type counters = {
   mutable coalesced : int;  (** requests attached to an in-flight entry *)
   mutable completed : int;  (** requests answered with a result *)
   mutable warm_hits : int;
-      (** requests answered without executing: the handler's answer
-          cache or the dispatcher's memo/store peek *)
-  mutable executed : int;  (** entries resolved through Engine.run_batch *)
+      (** requests answered without executing: from the handler's
+          answer cache, or entries [Engine.run_batch] answered from its
+          memo or store *)
+  mutable executed : int;
+      (** entries [Engine.run_batch] resolved by executing them *)
   mutable shed_overload : int;  (** refused at admission: queue full *)
   mutable shed_deadline : int;  (** shed after accept: deadline expired *)
   mutable shed_drain : int;  (** shed after accept: drain grace exceeded *)
@@ -137,8 +142,8 @@ type t = {
           Sound because [Wire.job_of_predict] and [Engine.fingerprint]
           are deterministic; this takes the x86 parser and sha256 off
           the warm path. *)
-  answers : (string, Wire.response * string) Hashtbl.t;
-      (** fingerprint -> (successful Result, its rendered v1 frame).
+  answers : (string, Wire.response) Hashtbl.t;
+      (** fingerprint -> successful Result.
           Filled by [fulfil]; lets a handler answer a repeat request
           directly, without a dispatcher round trip (which on a
           saturated box costs two context switches per request).
@@ -229,8 +234,6 @@ let shard_index t fp =
     (Int64.rem (Int64.logand h Int64.max_int)
        (Int64.of_int (Array.length t.shards)))
 
-let shard_for t fp = t.shards.(shard_index t fp)
-
 let stats_json t =
   let queued = ref 0 and inflight = ref 0 in
   Array.iter
@@ -268,6 +271,7 @@ let stats_json t =
        ( "engine",
          Json.Object
            [
+             n "submitted" (agg (fun e -> e.Engine.submitted));
              n "profiler_calls" (agg (fun e -> e.Engine.profiler_calls));
              n "store_hits" (agg (fun e -> e.Engine.store_hits));
              n "store_misses" (agg (fun e -> e.Engine.store_misses));
@@ -322,7 +326,7 @@ let cache_answer t fp reply =
       if not (Hashtbl.mem t.answers fp) then begin
         if Hashtbl.length t.answers >= answer_cache_max then
           Hashtbl.reset t.answers;
-        Hashtbl.replace t.answers fp (reply, Wire.response_to_string reply)
+        Hashtbl.replace t.answers fp reply
       end)
 
 (* Counter bump for requests answered straight from the handler's
@@ -429,30 +433,25 @@ let dispatcher_cycle t sh =
             | `Run -> true))
         entries
     in
-    (* warm fast path: memo/store probe answers without a batch slot *)
-    let cold =
-      List.filter
-        (fun e ->
-          match Engine.peek sh.s_engine e.job with
-          | Some outcome ->
-            bump t (fun c -> c.warm_hits <- c.warm_hits + 1);
-            fulfil t sh e (Wire.Result (Wire.outcome_json outcome));
-            false
-          | None -> true)
-        runnable
-    in
-    (match cold with
+    (match runnable with
     | [] -> ()
     | _ ->
+      let executed () = (Engine.stats sh.s_engine).Engine.executed in
+      let before = executed () in
       let batch =
-        Engine.run_batch sh.s_engine (List.map (fun e -> e.job) cold)
+        Engine.run_batch sh.s_engine (List.map (fun e -> e.job) runnable)
       in
-      bump t (fun c -> c.executed <- c.executed + List.length cold);
+      (* the coalescing map keeps a cycle's fingerprints distinct, so
+         every entry the engine did not execute was a memo/store hit *)
+      let ran = executed () - before in
+      bump t (fun c ->
+          c.executed <- c.executed + ran;
+          c.warm_hits <- c.warm_hits + List.length runnable - ran);
       List.iteri
         (fun i e ->
           fulfil t sh e
             (Wire.Result (Wire.outcome_json batch.Engine.outcomes.(i))))
-        cold);
+        runnable);
     true
 
 let rec dispatcher_loop t sh = if dispatcher_cycle t sh then dispatcher_loop t sh
@@ -518,12 +517,6 @@ let wait_reply w =
       done;
       Option.get w.w_reply)
 
-let submit_and_wait t ~fp (job : Engine.job) deadline_ms =
-  let sh = shard_for t fp in
-  match with_lock sh.s_mutex (fun () -> admit t sh ~fp job deadline_ms) with
-  | `Refuse r -> (r, false)
-  | `Wait w -> (wait_reply w, true)
-
 (* Admit many (fingerprint, job) pairs, taking each shard's lock only
    once however many of the batch land on it. Returns one slot per
    job, in order; [waited] is how many were admitted (their busy ticks
@@ -558,19 +551,62 @@ let submit_jobs t (jobs : (string * Engine.job) list) deadline_ms =
   in
   (slots, !waited)
 
-let send_raw t fd payload =
-  match Wire.write_frame fd payload with
+let send_response t fd response =
+  match Wire.write_frame fd (Wire.response_to_string response) with
   | () -> true
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
     bump t (fun c -> c.write_timeouts <- c.write_timeouts + 1);
     false
   | exception Unix.Unix_error (_, _, _) -> false
 
-let send_response t fd response =
-  send_raw t fd (Wire.response_to_string response)
-
 let release_busy t n =
   if n > 0 then with_lock t.cmutex (fun () -> t.busy <- t.busy - n)
+
+(* Answer every block of [pb] and send [render slots], one slot per
+   block in request order. Each block is resolved and admitted
+   independently: a malformed slot answers Bad_request in place, a
+   cached slot answers from the handler (skipped while draining so a
+   drain refuses uniformly), and only the rest is admitted. *)
+let serve_batch t fd (pb : Wire.predict_batch) render =
+  let draining = Atomic.get t.draining in
+  let slots0 =
+    List.map
+      (fun bb ->
+        match resolve t (Wire.predict_of_batch_block pb bb) with
+        | Error msg ->
+          bump t (fun c -> c.bad_requests <- c.bad_requests + 1);
+          `Bad msg
+        | Ok (job, fp) -> (
+          match if draining then None else cached_answer t fp with
+          | Some reply -> `Hit reply
+          | None -> `Submit (fp, job)))
+      pb.pb_blocks
+  in
+  count_cache_hits t
+    (List.length (List.filter (function `Hit _ -> true | _ -> false) slots0));
+  let jobs =
+    List.filter_map (function `Submit fj -> Some fj | _ -> None) slots0
+  in
+  let replies, waited = submit_jobs t jobs pb.pb_deadline_ms in
+  (* the busy ticks must be released on EVERY exit path out of the
+     re-interleave + send below (including a zip assertion or an
+     allocation failure), or a drain would wait out its full grace on
+     ticks nobody will return *)
+  Fun.protect
+    ~finally:(fun () -> release_busy t waited)
+    (fun () ->
+      (* re-interleave engine answers with the per-slot parse errors
+         and cache hits *)
+      let rec zip slots0 replies =
+        match (slots0, replies) with
+        | [], _ -> []
+        | `Bad msg :: rest, replies ->
+          Wire.Refused (Wire.Bad_request, msg) :: zip rest replies
+        | `Hit reply :: rest, replies -> reply :: zip rest replies
+        | `Submit _ :: rest, reply :: replies -> reply :: zip rest replies
+        | `Submit _ :: _, [] -> assert false
+      in
+      send_response t fd (render (zip slots0 replies)))
 
 let handle_connection t fd =
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.idle_timeout;
@@ -598,88 +634,22 @@ let handle_connection t fd =
          | Ok Wire.Stats ->
            if not (send_response t fd (Wire.Stats_reply (stats_json t))) then
              finished := true
-         | Ok (Wire.Predict p) -> (
-           match resolve t p with
-           | Error msg ->
-             bump t (fun c -> c.bad_requests <- c.bad_requests + 1);
-             if not (send_response t fd (Wire.Refused (Wire.Bad_request, msg)))
-             then finished := true
-           | Ok (job, fp) -> (
-             (* handler fast path: a repeat of an already-answered
-                block is written straight from the answer cache —
-                no admission, no dispatcher round trip. Skipped while
-                draining so a drain refuses uniformly. *)
-             match
-               if Atomic.get t.draining then None else cached_answer t fp
-             with
-             | Some (_, raw) ->
-               count_cache_hits t 1;
-               if not (send_raw t fd raw) then finished := true
-             | None ->
-               let reply, waited = submit_and_wait t ~fp job p.deadline_ms in
-               (* the busy tick must be released on EVERY exit path —
-                  an exception here would otherwise wedge
-                  [await_quiescent] for the full drain grace *)
-               let ok =
-                 Fun.protect
-                   ~finally:(fun () -> if waited then release_busy t 1)
-                   (fun () -> send_response t fd reply)
-               in
-               if not ok then finished := true))
+         | Ok (Wire.Predict p) ->
+           (* v1 is a one-slot batch whose slot is the whole response *)
+           let pb =
+             {
+               Wire.pb_uarch = p.uarch;
+               pb_deadline_ms = p.deadline_ms;
+               pb_filters = p.filters;
+               pb_blocks =
+                 [ { Wire.bb_asm = p.asm; bb_block_hex = p.block_hex } ];
+             }
+           in
+           let single = function [ slot ] -> slot | _ -> assert false in
+           if not (serve_batch t fd pb single) then finished := true
          | Ok (Wire.Predict_batch pb) ->
-           (* each block is resolved and admitted independently: a
-              malformed slot answers Bad_request in place, a cached
-              slot answers from the handler, and only the rest of the
-              batch is admitted *)
-           let draining = Atomic.get t.draining in
-           let slots0 =
-             List.map
-               (fun bb ->
-                 match resolve t (Wire.predict_of_batch_block pb bb) with
-                 | Error msg ->
-                   bump t (fun c -> c.bad_requests <- c.bad_requests + 1);
-                   `Bad msg
-                 | Ok (job, fp) -> (
-                   match if draining then None else cached_answer t fp with
-                   | Some (reply, _) -> `Hit reply
-                   | None -> `Submit (fp, job)))
-               pb.pb_blocks
-           in
-           count_cache_hits t
-             (List.length
-                (List.filter (function `Hit _ -> true | _ -> false) slots0));
-           let jobs =
-             List.filter_map
-               (function `Submit fj -> Some fj | _ -> None)
-               slots0
-           in
-           let replies, waited = submit_jobs t jobs pb.pb_deadline_ms in
-           (* the busy ticks must be released on EVERY exit path out
-              of the re-interleave + send below (including a zip
-              assertion or an allocation failure), or a drain would
-              wait out its full grace on ticks nobody will return *)
-           let ok =
-             Fun.protect
-               ~finally:(fun () -> release_busy t waited)
-               (fun () ->
-                 (* re-interleave engine answers with the per-slot
-                    parse errors and cache hits *)
-                 let slots =
-                   let rec zip slots0 replies =
-                     match (slots0, replies) with
-                     | [], _ -> []
-                     | `Bad msg :: rest, replies ->
-                       Wire.Refused (Wire.Bad_request, msg) :: zip rest replies
-                     | `Hit reply :: rest, replies -> reply :: zip rest replies
-                     | `Submit _ :: rest, reply :: replies ->
-                       reply :: zip rest replies
-                     | `Submit _ :: _, [] -> assert false
-                   in
-                   zip slots0 replies
-                 in
-                 send_response t fd (Wire.Results slots))
-           in
-           if not ok then finished := true)
+           if not (serve_batch t fd pb (fun slots -> Wire.Results slots)) then
+             finished := true)
      done
    with _ -> ());
   (try Unix.close fd with Unix.Unix_error _ -> ())

@@ -17,7 +17,8 @@
 
    Requests ([op]):
    - ["predict"] — asm (required, AT&T or Intel syntax), uarch short
-     name, optional [deadline_ms], optional [block_hex] (hex of the
+     name, optional [deadline_ms] (a whole number from 0 to
+     [max_deadline_ms]), optional [block_hex] (hex of the
      encoded block bytes, cross-checked against the parsed asm),
      optional [filters] (manifest filters object).
    - ["predict_batch"] (v2 only) — shared uarch / deadline_ms /
@@ -177,8 +178,26 @@ let request_to_string r = Json.to_string ~compact:true (request_to_json r)
 let str_field name j =
   Option.bind (Json.member name j) Json.string_value
 
-let int_field name j =
-  Option.bind (Json.member name j) Json.number |> Option.map int_of_float
+(* The largest deadline whose nanosecond count fits in an [int]: the
+   server adds [deadline_ms * 1_000_000] to the clock. *)
+let max_deadline_ms = max_int / 1_000_000
+
+(* Checked on the float itself, so that a fractional, huge or negative
+   value is refused instead of truncating or wrapping in [int_of_float]
+   and the multiplication after it. *)
+let deadline_field j =
+  match Json.member "deadline_ms" j with
+  | None -> Ok None
+  | Some d -> (
+    match Json.number d with
+    | Some ms
+      when Float.is_integer ms && ms >= 0.0
+           && ms <= float_of_int max_deadline_ms ->
+      Ok (Some (int_of_float ms))
+    | _ ->
+      Error
+        (Printf.sprintf "deadline_ms must be an integer in [0, %d]"
+           max_deadline_ms))
 
 let filters_field j =
   match Json.member "filters" j with
@@ -190,9 +209,10 @@ let request_of_string s =
   match Json.parse s with
   | Error msg -> Error ("request is not JSON: " ^ msg)
   | Ok j -> (
-    (match int_field "v" j with
-    | Some v when v = version || v = version_batch -> Ok v
-    | Some v -> Error (Printf.sprintf "unsupported protocol version %d" v)
+    (match Option.bind (Json.member "v" j) Json.number with
+    | Some v when v = float_of_int version || v = float_of_int version_batch ->
+      Ok (int_of_float v)
+    | Some v -> Error (Printf.sprintf "unsupported protocol version %g" v)
     | None -> Error "missing protocol version")
     |> function
     | Error _ as e -> e
@@ -204,15 +224,15 @@ let request_of_string s =
         match str_field "asm" j with
         | None -> Error "predict request missing asm"
         | Some asm -> (
-          match filters_field j with
-          | Error msg -> Error msg
-          | Ok filters ->
+          match (filters_field j, deadline_field j) with
+          | Error msg, _ | _, Error msg -> Error msg
+          | Ok filters, Ok deadline_ms ->
             Ok
               (Predict
                  {
                    asm;
                    uarch = Option.value ~default:"hsw" (str_field "uarch" j);
-                   deadline_ms = int_field "deadline_ms" j;
+                   deadline_ms;
                    block_hex = str_field "block_hex" j;
                    filters;
                  })))
@@ -243,15 +263,15 @@ let request_of_string s =
             match blocks with
             | Error msg -> Error msg
             | Ok rev_blocks -> (
-              match filters_field j with
-              | Error msg -> Error msg
-              | Ok filters ->
+              match (filters_field j, deadline_field j) with
+              | Error msg, _ | _, Error msg -> Error msg
+              | Ok filters, Ok pb_deadline_ms ->
                 Ok
                   (Predict_batch
                      {
                        pb_uarch =
                          Option.value ~default:"hsw" (str_field "uarch" j);
-                       pb_deadline_ms = int_field "deadline_ms" j;
+                       pb_deadline_ms;
                        pb_filters = filters;
                        pb_blocks = List.rev rev_blocks;
                      })))

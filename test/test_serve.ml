@@ -152,6 +152,25 @@ let test_wire_request_roundtrip () =
   bad "empty blocks" {|{"v":2,"op":"predict_batch","blocks":[]}|};
   bad "blocks not array" {|{"v":2,"op":"predict_batch","blocks":3}|};
   bad "block missing asm" {|{"v":2,"op":"predict_batch","blocks":[{}]}|};
+  (* integer fields are refused, never truncated or wrapped *)
+  bad "fractional version" {|{"v":2.9,"op":"ping"}|};
+  let with_deadline d =
+    Printf.sprintf {|{"v":1,"op":"predict","asm":"nop","deadline_ms":%s}|} d
+  in
+  bad "fractional deadline" (with_deadline "2.5");
+  bad "negative deadline" (with_deadline "-1");
+  bad "deadline overflows ns" (with_deadline "5e12");
+  bad "huge deadline" (with_deadline "1e300");
+  bad "string deadline" (with_deadline {|"9"|});
+  bad "batch deadline overflows ns"
+    {|{"v":2,"op":"predict_batch","deadline_ms":5e12,"blocks":[{"asm":"a"}]}|};
+  (match
+     Wire.request_of_string
+       (with_deadline (string_of_int Wire.max_deadline_ms))
+   with
+  | Ok (Wire.Predict { deadline_ms = Some d; _ }) ->
+    Alcotest.(check int) "largest deadline kept" Wire.max_deadline_ms d
+  | _ -> Alcotest.fail "largest deadline refused");
   Alcotest.(check pass) "malformed requests rejected" () ()
 
 let test_wire_response_roundtrip () =
@@ -215,9 +234,10 @@ let set_gate g open_ =
   Condition.broadcast g.g_cond;
   Mutex.unlock g.g_mutex
 
-let with_server ?(configure = Server.default_config) ?(shards = 1) ?gate f =
+let with_server ?(configure = Server.default_config) ?(shards = 1) ?gate ?store
+    f =
   let socket = temp_socket () in
-  let engines = Array.init shards (fun _ -> Engine.create ~jobs:1 ()) in
+  let engines = Array.init shards (fun _ -> Engine.create ~jobs:1 ?store ()) in
   let config = configure socket in
   let server =
     match gate with
@@ -257,6 +277,11 @@ let request_exn what client req =
   match Client.request client req with
   | Ok r -> r
   | Error msg -> Alcotest.fail (what ^ ": " ^ msg)
+
+let with_client socket f =
+  match Client.connect ~retries:20 socket with
+  | Error msg -> Alcotest.fail msg
+  | Ok c -> Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
 
 let asm_a = "add %rbx, %r10\ncmp %r11, %rax"
 let asm_b = "sub %rcx, %rdx\nmov %rdx, %r9"
@@ -506,7 +531,100 @@ let test_serve_batch_identity () =
             [ Wire.Result _; Wire.Refused (Wire.Bad_request, _); Wire.Result _ ]
           -> ()
         | _ -> Alcotest.fail "mixed batch not refused slot-wise");
-        Client.close c)
+        Client.close c);
+  (* a v1 predict is a one-slot batch: on each answer source — the
+     dispatcher (cold), the answer cache (repeat) and the resolver
+     (unparsable asm) — the v1 answer and the one-slot v2 slot carry
+     the same body bytes and move the serving counters the same way *)
+  let body ~prefix ~suffix frame =
+    let p = String.length prefix and q = String.length suffix in
+    let n = String.length frame in
+    if
+      n >= p + q
+      && String.sub frame 0 p = prefix
+      && String.sub frame (n - q) q = suffix
+    then String.sub frame p (n - p - q)
+    else Alcotest.fail ("unexpected frame " ^ frame)
+  in
+  let answers req unframe =
+    with_server (fun server socket ->
+        with_client socket (fun c ->
+            let counters () =
+              let k = Server.counters server in
+              Server.
+                [
+                  k.requests; k.accepted; k.coalesced; k.completed;
+                  k.warm_hits; k.executed; k.shed_overload; k.shed_deadline;
+                  k.shed_drain; k.bad_requests; k.write_timeouts;
+                ]
+            in
+            List.map
+              (fun asm ->
+                let before = counters () in
+                Wire.write_frame c.Client.fd (Wire.request_to_string (req asm));
+                match Wire.read_frame c.Client.fd with
+                | Ok frame ->
+                  (unframe frame, List.map2 ( - ) (counters ()) before)
+                | Error _ -> Alcotest.fail "no answer")
+              [ asm_a; asm_a; "not asm!" ]))
+  in
+  let v1 =
+    answers predict (fun f -> "{" ^ body ~prefix:{|{"v":1,|} ~suffix:"" f)
+  and v2 =
+    answers
+      (fun asm -> batch [ asm ])
+      (body ~prefix:{|{"v":2,"status":"ok","results":[|} ~suffix:"]}")
+  in
+  List.iter2
+    (fun source ((b1, d1), (b2, d2)) ->
+      Alcotest.(check string) (source ^ ": same slot body") b1 b2;
+      Alcotest.(check (list int)) (source ^ ": same counter deltas") d1 d2)
+    [ "cold"; "repeat"; "bad asm" ]
+    (List.combine v1 v2)
+
+let test_serve_restart_warm_store () =
+  (* a daemon restarted on a store another daemon filled answers both
+     blocks from the store without executing anything, over v1 and v2
+     alike, and its engine counters still add up *)
+  Test_store.with_store_dir "bhive_serve_store" (fun dir ->
+      let daemon f =
+        let store = Store.open_ dir in
+        Fun.protect
+          ~finally:(fun () -> Store.close store)
+          (fun () ->
+            with_server ~store (fun _server socket -> with_client socket f))
+      in
+      daemon (fun c ->
+          match request_exn "fill" c (batch [ asm_a; asm_b ]) with
+          | Wire.Results [ Wire.Result _; Wire.Result _ ] -> ()
+          | _ -> Alcotest.fail "first daemon refused");
+      daemon (fun c ->
+          (match request_exn "v1 predict" c (predict asm_a) with
+          | Wire.Result _ -> ()
+          | _ -> Alcotest.fail "v1 predict refused");
+          (match request_exn "v2 batch" c (batch [ asm_b ]) with
+          | Wire.Results [ Wire.Result _ ] -> ()
+          | _ -> Alcotest.fail "v2 batch refused");
+          let stat =
+            match request_exn "stats" c Wire.Stats with
+            | Wire.Stats_reply s -> (
+              fun path ->
+                match Option.bind (Json.path path s) Json.number with
+                | Some v -> int_of_float v
+                | None -> Alcotest.fail (String.concat "." path ^ " missing"))
+            | _ -> Alcotest.fail "stats refused"
+          in
+          let check name path want =
+            Alcotest.(check int) name want (stat path)
+          in
+          check "nothing executed" [ "serving"; "executed" ] 0;
+          check "both warm" [ "serving"; "warm_hits" ] 2;
+          check "no profiler call" [ "engine"; "profiler_calls" ] 0;
+          check "both from the store" [ "engine"; "store_hits" ] 2;
+          let e name = stat [ "engine"; name ] in
+          Alcotest.(check int) "submitted = executed + cache_hits + store_hits"
+            (e "submitted")
+            (e "executed" + e "cache_hits" + e "store_hits")))
 
 let test_serve_shard_determinism () =
   (* the determinism matrix: answers must not depend on the pool size *)
@@ -598,6 +716,8 @@ let suite =
     Alcotest.test_case "serve: coalesced deadline loosens" `Quick
       test_serve_coalesced_deadline_loosens;
     Alcotest.test_case "serve: batch identity" `Quick test_serve_batch_identity;
+    Alcotest.test_case "serve: restart over a warm store" `Quick
+      test_serve_restart_warm_store;
     Alcotest.test_case "serve: shard determinism" `Quick
       test_serve_shard_determinism;
     Alcotest.test_case "serve: shed inflight hygiene" `Quick
