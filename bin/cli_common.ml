@@ -1,8 +1,8 @@
 (* Shared CLI plumbing: every executable in this directory is a thin
    wrapper that synthesizes a manifest and hands it to
    [Manifest.Runner]. This module owns the one copy of the shared
-   flags — --jobs, --store, --faults, --max-retries, --quorum,
-   --trace, --emit-manifest — and the exit-code policy, so the
+   flags — --jobs, --store, --faults, --max-retries, --trace,
+   --emit-manifest — and the exit-code policy, so the
    wrappers contain only their experiment-specific flags.
 
    [setup] also validates every engine-relevant environment variable
@@ -23,9 +23,9 @@ let faults_arg =
     & info [ "faults" ] ~docv:"SPEC"
         ~doc:
           "Deterministic fault injection for the measurement substrate, as \
-           a comma-separated spec: \
-           $(b,crash=0.01,stall=0.005,corrupt=0.002,seed=42). Overrides \
-           \\$BHIVE_FAULTS; $(b,none) disables injection.")
+           a comma-separated spec: $(b,crash=0.01,stall=0.005,seed=42). \
+           Crashes and stalls only delay a measurement, never change it. \
+           Overrides \\$BHIVE_FAULTS; $(b,none) disables injection.")
 
 let max_retries_arg =
   Arg.(
@@ -35,16 +35,6 @@ let max_retries_arg =
         ~doc:
           "Retries after a job's first failed attempt before it is \
            quarantined (default 4).")
-
-let quorum_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "quorum" ] ~docv:"N"
-        ~doc:
-          "Trials per measurement attempt; a result is accepted only when a \
-           strict majority of trials agree, which outvotes corrupted \
-           timings (default 1: no voting).")
 
 let store_arg =
   Arg.(
@@ -89,7 +79,7 @@ type setup = { overrides : Manifest.Runner.overrides; emit : bool }
 (* Evaluates before the command body runs: environment validation and
    trace installation happen exactly once per process. *)
 let setup : setup Term.t =
-  let apply faults max_retries quorum store jobs trace emit =
+  let apply faults max_retries store jobs trace emit =
     (match Engine.validate_env () with
     | Ok () -> ()
     | Error msg ->
@@ -105,14 +95,13 @@ let setup : setup Term.t =
           o_store = store;
           o_faults = faults;
           o_max_retries = max_retries;
-          o_quorum = quorum;
         };
       emit;
     }
   in
   Term.(
-    const apply $ faults_arg $ max_retries_arg $ quorum_arg $ store_arg
-    $ jobs_arg $ trace_arg $ emit_arg)
+    const apply $ faults_arg $ max_retries_arg $ store_arg $ jobs_arg
+    $ trace_arg $ emit_arg)
 
 (* Exit-code policy, shared by every wrapper and bhive_run itself:
    0 success, 1 lost jobs, 2 invalid manifest / environment / output

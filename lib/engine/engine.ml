@@ -8,8 +8,8 @@
    the members in order through one mapping memo (the Fig. 2 mapping
    does not depend on the uarch, so each unroll factor is mapped once
    per group), and write into disjoint slots of a result array. Faults
-   are decided by Faultsim purely from (fingerprint, attempt, trial)
-   and the profiler is deterministic per job, so which domain runs a
+   are decided by Faultsim purely from (fingerprint, attempt) and the
+   profiler is deterministic per job, so which domain runs a
    job, next to which others, and how many domains there are cannot
    change any outcome; that is the whole determinism argument, faults
    included.
@@ -21,10 +21,11 @@
    members of its group the domain had not started (at their current
    attempts) in the same item, then spawns a replacement domain on the
    same worker slot and keeps supervising.
-   Timeouts and failed quorum rounds are retried inside the worker
-   (with deterministic exponential backoff on the simulated clock);
-   only crashes cross the domain boundary, because only crashes kill
-   the domain.
+   Timeouts are retried inside the worker (with deterministic
+   exponential backoff on the simulated clock); only crashes cross the
+   domain boundary, because only crashes kill the domain. Faults never
+   alter a measured value, so the one profiler result an attempt takes
+   is the fault-free one.
 
    The cache is only written by the submitting thread after the pool
    drains, and results are re-expanded into submission order — which is
@@ -53,26 +54,18 @@ let overlay_digest = Stable_key.overlay_digest
 
 (* --- retry policy ----------------------------------------------------- *)
 
-type policy = {
-  max_retries : int;
-  deadline_ms : int;
-  backoff_ms : int;
-  quorum : int;
-}
+(* Retries after the first attempt; [create ?max_retries] overrides. *)
+let default_max_retries = 4
 
-let default_policy =
-  { max_retries = 4; deadline_ms = 100; backoff_ms = 10; quorum = 1 }
+(* Simulated per-attempt deadline: a stall that pushes an attempt past
+   it fails the attempt. *)
+let deadline_ms = 100
 
-let clamp_policy p =
-  {
-    max_retries = max 0 p.max_retries;
-    deadline_ms = max 1 p.deadline_ms;
-    backoff_ms = max 0 p.backoff_ms;
-    quorum = max 1 p.quorum;
-  }
+(* Base backoff: retry [k] waits [backoff_ms * 2^k] simulated ms. *)
+let backoff_ms = 10
 
 (* backoff before attempt [k+1], simulated ms *)
-let backoff_of p k = p.backoff_ms * (1 lsl min k 20)
+let backoff_of k = backoff_ms * (1 lsl min k 20)
 
 (* --- persistent store tier -------------------------------------------- *)
 
@@ -186,9 +179,7 @@ type stats = {
   retries : int;
   crashes : int;
   timeouts : int;
-  quorum_failures : int;
   stalls_absorbed : int;
-  corruptions : int;
   workers_replenished : int;
   store_hits : int;
   store_misses : int;
@@ -221,7 +212,7 @@ type t = {
   n_jobs : int;
   progress : (done_:int -> total:int -> unit) option;
   faults : Faultsim.config;
-  policy : policy;
+  max_retries : int;
   cache : (string, outcome) Hashtbl.t;
   store : Store.t option;  (** disk tier; absent without BHIVE_STORE/--store *)
   mutable gen_cache : (Uarch.Descriptor.t * string) list;
@@ -249,9 +240,7 @@ type t = {
   mutable retries : int;
   mutable crashes : int;
   mutable timeouts : int;
-  mutable quorum_failures : int;
   mutable stalls_absorbed : int;
-  mutable corruptions : int;
   mutable workers_replenished : int;
   mutable store_hit_count : int;
   mutable store_miss_count : int;
@@ -269,9 +258,7 @@ let m_profiler_calls = Telemetry.Metrics.counter "engine.profiler_calls"
 let m_retries = Telemetry.Metrics.counter "engine.retries"
 let m_crashes = Telemetry.Metrics.counter "engine.crashes"
 let m_timeouts = Telemetry.Metrics.counter "engine.timeouts"
-let m_quorum_failures = Telemetry.Metrics.counter "engine.quorum_failures"
 let m_stalls_absorbed = Telemetry.Metrics.counter "engine.stalls_absorbed"
-let m_corruptions = Telemetry.Metrics.counter "engine.corruptions"
 let m_quarantined = Telemetry.Metrics.counter "engine.quarantined"
 
 let m_replenished =
@@ -301,8 +288,8 @@ let open_store path =
   end
   else Store.open_ path
 
-let create ?jobs ?progress ?faults ?store ?store_path ?max_retries ?deadline_ms
-    ?backoff_ms ?quorum ?(block_generation = false) () =
+let create ?jobs ?progress ?faults ?store ?store_path
+    ?(max_retries = default_max_retries) ?(block_generation = false) () =
   let n_jobs = max 1 (match jobs with Some n -> n | None -> default_jobs ()) in
   let faults = match faults with Some f -> f | None -> Faultsim.of_env () in
   let store =
@@ -319,21 +306,11 @@ let create ?jobs ?progress ?faults ?store ?store_path ?max_retries ?deadline_ms
       in
       Option.map open_store store_path
   in
-  let base = default_policy in
-  let policy =
-    clamp_policy
-      {
-        max_retries = Option.value max_retries ~default:base.max_retries;
-        deadline_ms = Option.value deadline_ms ~default:base.deadline_ms;
-        backoff_ms = Option.value backoff_ms ~default:base.backoff_ms;
-        quorum = Option.value quorum ~default:base.quorum;
-      }
-  in
   {
     n_jobs;
     progress;
     faults;
-    policy;
+    max_retries = max 0 max_retries;
     cache = Hashtbl.create 4096;
     store;
     gen_cache = [];
@@ -350,9 +327,7 @@ let create ?jobs ?progress ?faults ?store ?store_path ?max_retries ?deadline_ms
     retries = 0;
     crashes = 0;
     timeouts = 0;
-    quorum_failures = 0;
     stalls_absorbed = 0;
-    corruptions = 0;
     workers_replenished = 0;
     store_hit_count = 0;
     store_miss_count = 0;
@@ -367,7 +342,6 @@ let shared = lazy (create ())
 let default () = Lazy.force shared
 let jobs t = t.n_jobs
 let faults t = t.faults
-let policy t = t.policy
 let store t = t.store
 
 (* Generation fingerprints, memoised by descriptor identity. *)
@@ -417,9 +391,7 @@ let stats t =
     retries = t.retries;
     crashes = t.crashes;
     timeouts = t.timeouts;
-    quorum_failures = t.quorum_failures;
     stalls_absorbed = t.stalls_absorbed;
-    corruptions = t.corruptions;
     workers_replenished = t.workers_replenished;
     store_hits = t.store_hit_count;
     store_misses = t.store_miss_count;
@@ -496,24 +468,6 @@ let group_mapper () : Harness.Profiler.mapper =
       memo := (unroll, r) :: !memo;
       r
 
-(* Structural majority vote: the first value whose marshalled
-   representation reaches a strict majority of the trials. *)
-let majority trials votes =
-  match votes with
-  | [ v ] when trials = 1 -> Some v
-  | vs ->
-    let keyed =
-      List.map (fun v -> (Digest.string (Marshal.to_string v []), v)) vs
-    in
-    let tbl = Hashtbl.create 4 in
-    List.iter
-      (fun (k, _) ->
-        Hashtbl.replace tbl k
-          (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)))
-      keyed;
-    List.find_opt (fun (k, _) -> 2 * Hashtbl.find tbl k > trials) keyed
-    |> Option.map snd
-
 let run_batch t (submission : job list) : batch =
   let t0 = Unix.gettimeofday () in
   let batch_start_ns = Telemetry.Trace.now_ns () in
@@ -536,9 +490,7 @@ let run_batch t (submission : job list) : batch =
   let a_retries = Atomic.make 0 in
   let a_crashes = Atomic.make 0 in
   let a_timeouts = Atomic.make 0 in
-  let a_quorum_failures = Atomic.make 0 in
   let a_stalls = Atomic.make 0 in
-  let a_corruptions = Atomic.make 0 in
   let a_replenished = Atomic.make 0 in
   let body () =
     let batch_span = Telemetry.Trace.current_span () in
@@ -771,21 +723,19 @@ let run_batch t (submission : job list) : batch =
       Telemetry.Metrics.observe h_job_seconds (seconds_of_ns busy);
       Option.get !result
     in
-    (* Run the attempts of unique job [u] starting at [attempt0].
-       Timeouts and failed quorum rounds retry in place; a crash
+    (* Run the attempts of unique job [u] starting at [attempt0]. Each
+       attempt makes one fault draw; timeouts retry in place, a crash
        escapes as Worker_crashed (the domain dies), carrying
        [unstarted], the group members after [u]. *)
     let run_attempts ~worker ~map ~unstarted u attempt0 =
       let fp, slot = worklist.(u) in
-      let fp_hex = fp in
       let j = submission.(slot) in
-      let trials = t.policy.quorum in
-      let record ~attempt ~verdict ~faults_rev ~sim_ms ~backoff_ms =
+      let record ~attempt ~verdict ~faults ~sim_ms ~backoff_ms =
         logs.(u) :=
           {
             att_number = attempt;
             att_verdict = verdict;
-            att_faults = List.rev faults_rev;
+            att_faults = faults;
             att_sim_ms = sim_ms;
             att_backoff_ms = backoff_ms;
           }
@@ -796,114 +746,58 @@ let run_batch t (submission : job list) : batch =
           Telemetry.Trace.instant "engine.fault" ~attrs:(fun () ->
               [
                 ("kind", Telemetry.Trace.Str (Faultsim.fault_to_string fault));
-                ("fingerprint", Telemetry.Trace.Str fp_hex);
+                ("fingerprint", Telemetry.Trace.Str fp);
                 ("attempt", Telemetry.Trace.Int attempt);
               ])
       in
       let rec go attempt =
-        let sim_ms = ref 0 in
-        let faults_seen = ref [] in
-        let base = ref None in
-        let get_base () =
-          match !base with
-          | Some r -> r
-          | None ->
-            let r = execute_profiler ~worker ~map ~attempt fp j in
-            base := Some r;
-            r
-        in
-        let corrupt_vote salt =
-          match get_base () with
-          | Ok p ->
-            Ok
-              {
-                p with
-                Harness.Profiler.throughput =
-                  Faultsim.corrupt_throughput ~salt p.Harness.Profiler.throughput;
-              }
-          | Error _ as e -> e
-        in
-        let rec run_trials trial votes =
-          if trial >= trials then `Votes (List.rev votes)
-          else begin
-            match
-              Faultsim.draw t.faults ~fingerprint:fp_hex ~attempt ~trial
-            with
-            | Some Faultsim.Crash as f ->
-              faults_seen := "crash" :: !faults_seen;
-              fault_instant attempt (Option.get f);
-              `Crash
-            | Some (Faultsim.Stall ms) as f ->
-              fault_instant attempt (Option.get f);
-              sim_ms := !sim_ms + ms;
-              if !sim_ms > t.policy.deadline_ms then begin
-                faults_seen := Printf.sprintf "stall:%dms" ms :: !faults_seen;
-                `Timeout
-              end
-              else begin
-                faults_seen :=
-                  Printf.sprintf "stall:%dms(absorbed)" ms :: !faults_seen;
-                Atomic.incr a_stalls;
-                Telemetry.Metrics.incr m_stalls_absorbed;
-                incr sim_ms;
-                run_trials (trial + 1) (get_base () :: votes)
-              end
-            | Some (Faultsim.Corrupt salt) as f ->
-              fault_instant attempt (Option.get f);
-              faults_seen := "corrupt" :: !faults_seen;
-              Atomic.incr a_corruptions;
-              Telemetry.Metrics.incr m_corruptions;
-              incr sim_ms;
-              run_trials (trial + 1) (corrupt_vote salt :: votes)
-            | None ->
-              incr sim_ms;
-              run_trials (trial + 1) (get_base () :: votes)
-          end
+        let next_backoff =
+          if attempt < t.max_retries then backoff_of attempt else 0
         in
         let retry_or_quarantine () =
-          if attempt < t.policy.max_retries then begin
+          if attempt < t.max_retries then begin
             Atomic.incr a_retries;
             Telemetry.Metrics.incr m_retries;
             go (attempt + 1)
           end
           else finalize_quarantine u
         in
-        let next_backoff () =
-          if attempt < t.policy.max_retries then backoff_of t.policy attempt
-          else 0
+        (* the attempt measures: one simulated ms on top of any
+           absorbed stall *)
+        let measure ~faults ~sim_ms =
+          let r : outcome =
+            match execute_profiler ~worker ~map ~attempt fp j with
+            | Ok p -> Ok p
+            | Error f -> Error (Profiler_failure f)
+          in
+          record ~attempt ~verdict:"ok" ~faults ~sim_ms:(sim_ms + 1)
+            ~backoff_ms:0;
+          out.(u) <- Some r;
+          store_put u fp r;
+          mark_resolved ()
         in
-        match run_trials 0 [] with
-        | `Crash ->
-          Atomic.incr a_crashes;
-          Telemetry.Metrics.incr m_crashes;
-          record ~attempt ~verdict:"crash" ~faults_rev:!faults_seen
-            ~sim_ms:!sim_ms ~backoff_ms:(next_backoff ());
-          raise (Worker_crashed { unique = u; attempt; worker; unstarted })
-        | `Timeout ->
-          Atomic.incr a_timeouts;
-          Telemetry.Metrics.incr m_timeouts;
-          record ~attempt ~verdict:"timeout" ~faults_rev:!faults_seen
-            ~sim_ms:!sim_ms ~backoff_ms:(next_backoff ());
-          retry_or_quarantine ()
-        | `Votes votes -> (
-          match majority trials votes with
-          | Some v ->
-            record ~attempt ~verdict:"ok" ~faults_rev:!faults_seen
-              ~sim_ms:!sim_ms ~backoff_ms:0;
-            let r : outcome =
-              match v with
-              | Ok p -> Ok p
-              | Error f -> Error (Profiler_failure f)
-            in
-            out.(u) <- Some r;
-            store_put u fp r;
-            mark_resolved ()
-          | None ->
-            Atomic.incr a_quorum_failures;
-            Telemetry.Metrics.incr m_quorum_failures;
-            record ~attempt ~verdict:"no_quorum" ~faults_rev:!faults_seen
-              ~sim_ms:!sim_ms ~backoff_ms:(next_backoff ());
-            retry_or_quarantine ())
+        match Faultsim.draw t.faults ~fingerprint:fp ~attempt with
+        | None -> measure ~faults:[] ~sim_ms:0
+        | Some fault -> (
+          fault_instant attempt fault;
+          let seen = Faultsim.fault_to_string fault in
+          match fault with
+          | Faultsim.Crash ->
+            Atomic.incr a_crashes;
+            Telemetry.Metrics.incr m_crashes;
+            record ~attempt ~verdict:"crash" ~faults:[ seen ] ~sim_ms:0
+              ~backoff_ms:next_backoff;
+            raise (Worker_crashed { unique = u; attempt; worker; unstarted })
+          | Faultsim.Stall ms when ms > deadline_ms ->
+            Atomic.incr a_timeouts;
+            Telemetry.Metrics.incr m_timeouts;
+            record ~attempt ~verdict:"timeout" ~faults:[ seen ] ~sim_ms:ms
+              ~backoff_ms:next_backoff;
+            retry_or_quarantine ()
+          | Faultsim.Stall ms ->
+            Atomic.incr a_stalls;
+            Telemetry.Metrics.incr m_stalls_absorbed;
+            measure ~faults:[ seen ^ "(absorbed)" ] ~sim_ms:ms)
       in
       go attempt0
     in
@@ -936,7 +830,7 @@ let run_batch t (submission : job list) : batch =
       Atomic.incr a_replenished;
       Telemetry.Metrics.incr m_replenished;
       let retry =
-        if attempt < t.policy.max_retries then begin
+        if attempt < t.max_retries then begin
           Atomic.incr a_retries;
           Telemetry.Metrics.incr m_retries;
           [ (unique, attempt + 1) ]
@@ -1038,9 +932,7 @@ let run_batch t (submission : job list) : batch =
   t.retries <- t.retries + Atomic.get a_retries;
   t.crashes <- t.crashes + Atomic.get a_crashes;
   t.timeouts <- t.timeouts + Atomic.get a_timeouts;
-  t.quorum_failures <- t.quorum_failures + Atomic.get a_quorum_failures;
   t.stalls_absorbed <- t.stalls_absorbed + Atomic.get a_stalls;
-  t.corruptions <- t.corruptions + Atomic.get a_corruptions;
   t.workers_replenished <- t.workers_replenished + Atomic.get a_replenished;
   t.store_hit_count <- t.store_hit_count + !b_store_hits;
   t.store_miss_count <- t.store_miss_count + !b_store_misses;
@@ -1120,17 +1012,14 @@ let summary_json t =
           Json.String
             (if Faultsim.is_none t.faults then "none"
              else Faultsim.to_string t.faults) );
-        ("max_retries", num t.policy.max_retries);
-        ("deadline_ms", num t.policy.deadline_ms);
-        ("backoff_ms", num t.policy.backoff_ms);
-        ("quorum", num t.policy.quorum);
+        ("max_retries", num t.max_retries);
+        ("deadline_ms", num deadline_ms);
+        ("backoff_ms", num backoff_ms);
         ("profiler_calls", num s.profiler_calls);
         ("retries", num s.retries);
         ("crashes", num s.crashes);
         ("timeouts", num s.timeouts);
-        ("quorum_failures", num s.quorum_failures);
         ("stalls_absorbed", num s.stalls_absorbed);
-        ("corruptions", num s.corruptions);
         ("workers_replenished", num s.workers_replenished);
         ("quarantined_jobs", num (List.length t.quarantine_log));
         ("quarantined_slots", num s.quarantined);

@@ -4,21 +4,17 @@
 
     Beyond batching, memoisation and the OCaml 5 domain pool (PR 1),
     the engine now assumes the substrate is hostile: a profiling
-    attempt may crash the worker domain that runs it, stall past its
-    simulated deadline, or return a corrupted timing
-    (see {!Faultsim}). The engine detects, retries, quarantines and
-    reports around those faults:
+    attempt may crash the worker domain that runs it or stall past its
+    simulated deadline (see {!Faultsim}). The engine detects, retries,
+    quarantines and reports around those faults:
 
-    - {b per-job deadlines with bounded retry}: each failed attempt is
-      retried after a deterministic exponential backoff (simulated
-      milliseconds — no wall time passes) up to [max_retries] times;
+    - {b per-job deadlines with bounded retry}: each attempt has a
+      100 simulated-ms deadline; a failed attempt is retried after a
+      deterministic exponential backoff of [10 * 2^k] simulated ms (no
+      wall time passes) up to [max_retries] times;
     - {b worker-domain crash recovery}: a crash kills the domain; the
       supervisor resubmits the in-flight job and replenishes the pool
       with a replacement domain on the same worker slot;
-    - {b quorum mode} ([quorum : n > 1]): every attempt re-measures the
-      job in [n] independently perturbed trials and accepts only a
-      strict-majority value — the paper's min-clean-timings filter,
-      lifted one level up, which is what outvotes corrupted timings;
     - {b graceful degradation}: a batch {e never} raises out of
       {!run_batch}. Jobs that exhaust their retry budget land in a
       structured quarantine manifest and the batch returns partial
@@ -26,7 +22,7 @@
       for: completed + quarantined = submitted, always.
 
     {b Determinism.} Fault decisions are pure functions of
-    (fingerprint, attempt, trial) — never of scheduling — and the
+    (fingerprint, attempt) — never of scheduling — and the
     profiler is deterministic per job, so batch output is byte-identical
     for {e any} worker count and {e any} fault seed, as long as every
     job resolves within its retry budget ("recoverable" rates). With
@@ -78,30 +74,14 @@ val block_generation : Uarch.Descriptor.t -> X86.Inst.t list -> string
     refinement candidate's patch. *)
 val overlay_digest : Uarch.Overlay.t -> string
 
-(** {1 Retry policy} *)
-
-type policy = {
-  max_retries : int;  (** retries after the first attempt (default 4) *)
-  deadline_ms : int;
-      (** simulated per-attempt deadline; a stall that pushes the
-          attempt past it fails the attempt (default 100) *)
-  backoff_ms : int;
-      (** base backoff before retry [k] is [backoff_ms * 2^k] simulated
-          ms (default 10) *)
-  quorum : int;
-      (** trials per attempt; [1] disables voting (default 1) *)
-}
-
-val default_policy : policy
-
 (** {1 Outcomes and quarantine} *)
 
 (** One attempt of one job, as recorded in the quarantine manifest and
     the engine's telemetry. *)
 type attempt_record = {
   att_number : int;  (** 0-based *)
-  att_verdict : string;  (** ["ok"], ["crash"], ["timeout"] or ["no_quorum"] *)
-  att_faults : string list;  (** injected faults, in trial order *)
+  att_verdict : string;  (** ["ok"], ["crash"] or ["timeout"] *)
+  att_faults : string list;  (** the attempt's injected fault, if any *)
   att_sim_ms : int;  (** simulated elapsed ms of the attempt *)
   att_backoff_ms : int;  (** backoff before the next attempt; 0 if none *)
 }
@@ -156,9 +136,7 @@ type stats = {
   retries : int;  (** attempts beyond each job's first *)
   crashes : int;  (** worker-domain deaths *)
   timeouts : int;  (** attempts failed on the simulated deadline *)
-  quorum_failures : int;  (** attempts with no majority value *)
   stalls_absorbed : int;  (** stalls that fit inside the deadline *)
-  corruptions : int;  (** corrupted trials injected *)
   workers_replenished : int;  (** replacement domains spawned *)
   store_hits : int;  (** disk-tier lookups served from the store *)
   store_misses : int;  (** disk-tier lookups finding nothing *)
@@ -178,14 +156,13 @@ val store_hit_rate : stats -> float
 
 type t
 
-(** [create ?jobs ?progress ?faults ?max_retries ?deadline_ms
-    ?backoff_ms ?quorum ()] makes a fresh engine. [jobs] defaults to
-    [$BHIVE_JOBS], falling back to [Domain.recommended_domain_count ()];
-    values are clamped to at least 1. [progress] is invoked (under a
-    lock) once per resolved unique job. [faults] defaults to
-    {!Faultsim.of_env} ([$BHIVE_FAULTS]); the policy fields default to
-    {!default_policy}'s and are clamped: [max_retries >= 0],
-    [quorum >= 1].
+(** [create ?jobs ?progress ?faults ?max_retries ()] makes a fresh
+    engine. [jobs] defaults to [$BHIVE_JOBS], falling back to
+    [Domain.recommended_domain_count ()]; values are clamped to at
+    least 1. [progress] is invoked (under a lock) once per resolved
+    unique job. [faults] defaults to {!Faultsim.of_env}
+    ([$BHIVE_FAULTS]). [max_retries] (retries after a job's first
+    attempt) defaults to 4 and is clamped to at least 0.
 
     [store] (an already-open handle) wins over [store_path]: the
     store's cross-process file locks are per-process, so multiple
@@ -199,9 +176,6 @@ val create :
   ?store:Store.t ->
   ?store_path:string ->
   ?max_retries:int ->
-  ?deadline_ms:int ->
-  ?backoff_ms:int ->
-  ?quorum:int ->
   ?block_generation:bool ->
   unit -> t
 (** [block_generation] (default [false]) switches the store's
@@ -213,7 +187,8 @@ val create :
     default scheme so their store keys and golden pins are unchanged. *)
 
 (** The shared process-wide engine (created on first use from
-    [BHIVE_JOBS] / [BHIVE_FAULTS] / [BHIVE_STORE] and {!default_policy}).
+    [BHIVE_JOBS] / [BHIVE_FAULTS] / [BHIVE_STORE] and the default
+    retry budget).
     Drivers that are not handed an explicit engine use this one, so
     independent experiment sections share its memo cache. *)
 val default : unit -> t
@@ -247,7 +222,6 @@ val validate_env : unit -> (unit, string) result
 
 val jobs : t -> int
 val faults : t -> Faultsim.config
-val policy : t -> policy
 val stats : t -> stats
 
 (** The engine's disk tier, if one is attached. *)

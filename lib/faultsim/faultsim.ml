@@ -1,16 +1,18 @@
 (* See faultsim.mli for the contract.
 
    Determinism: every decision derives from one SplitMix64 stream
-   seeded by (config seed XOR FNV-1a of "fingerprint\x00attempt\x00trial").
-   The stream is consumed in a fixed order (crash, stall, corrupt, then
-   payload), so adding a fault class later can only extend — never
-   reshuffle — existing draws. *)
+   seeded by (config seed XOR FNV-1a of "fingerprint\x00attempt\x000").
+   The trailing "0" is a fixed field that keeps the key bytes, and so
+   every pinned crash and stall decision (test_engine's golden ledger),
+   stable. The stream is consumed in a fixed order (crash, stall,
+   then payload), so adding a fault class later can only extend —
+   never reshuffle — existing draws. *)
 
-type config = { crash : float; stall : float; corrupt : float; seed : int64 }
+type config = { crash : float; stall : float; seed : int64 }
 
-let none = { crash = 0.0; stall = 0.0; corrupt = 0.0; seed = 0L }
+let none = { crash = 0.0; stall = 0.0; seed = 0L }
 
-let is_none c = c.crash = 0.0 && c.stall = 0.0 && c.corrupt = 0.0
+let is_none c = c.crash = 0.0 && c.stall = 0.0
 
 let float_to_string f =
   (* shortest round-trip-safe rendering, so to_string stays canonical *)
@@ -18,9 +20,8 @@ let float_to_string f =
   s
 
 let to_string c =
-  Printf.sprintf "crash=%s,stall=%s,corrupt=%s,seed=%Ld"
-    (float_to_string c.crash) (float_to_string c.stall)
-    (float_to_string c.corrupt) c.seed
+  Printf.sprintf "crash=%s,stall=%s,seed=%Ld" (float_to_string c.crash)
+    (float_to_string c.stall) c.seed
 
 let parse spec =
   let spec = String.trim spec in
@@ -44,15 +45,14 @@ let parse spec =
           match key with
           | "crash" -> Result.bind (rate ()) (fun r -> fold { acc with crash = r } rest)
           | "stall" -> Result.bind (rate ()) (fun r -> fold { acc with stall = r } rest)
-          | "corrupt" -> Result.bind (rate ()) (fun r -> fold { acc with corrupt = r } rest)
           | "seed" -> (
             match Int64.of_string_opt v with
             | Some s -> fold { acc with seed = s } rest
             | None -> Error (Printf.sprintf "seed=%s: not an integer" v))
           | _ ->
             Error
-              (Printf.sprintf
-                 "unknown key %S (expected crash, stall, corrupt or seed)" key)))
+              (Printf.sprintf "unknown key %S (expected crash, stall or seed)"
+                 key)))
     in
     fold none parts
 
@@ -67,40 +67,26 @@ let env_result () =
 let of_env () =
   match env_result () with Ok c -> c | Error msg -> failwith msg
 
-type fault = Crash | Stall of int | Corrupt of int64
+type fault = Crash | Stall of int
 
 let fault_to_string = function
   | Crash -> "crash"
   | Stall ms -> Printf.sprintf "stall:%dms" ms
-  | Corrupt _ -> "corrupt"
 
-let trial_rng (c : config) ~fingerprint ~attempt ~trial =
+let attempt_rng (c : config) ~fingerprint ~attempt =
   let key =
-    Bstats.Rng.seed_of_string
-      (Printf.sprintf "%s\x00%d\x00%d" fingerprint attempt trial)
+    Bstats.Rng.seed_of_string (Printf.sprintf "%s\x00%d\x000" fingerprint attempt)
   in
   Bstats.Rng.create (Int64.logxor c.seed key)
 
-let draw c ~fingerprint ~attempt ~trial =
+let draw c ~fingerprint ~attempt =
   if is_none c then None
   else begin
-    let rng = trial_rng c ~fingerprint ~attempt ~trial in
+    let rng = attempt_rng c ~fingerprint ~attempt in
     if Bstats.Rng.bernoulli rng c.crash then Some Crash
     else if Bstats.Rng.bernoulli rng c.stall then
       (* 25, 50, 100, 200 or 400 simulated ms: some stalls fit inside
-         the default 100ms deadline, some blow past it *)
+         the engine's 100ms deadline, some blow past it *)
       Some (Stall (25 * (1 lsl Bstats.Rng.int rng 5)))
-    else if Bstats.Rng.bernoulli rng c.corrupt then
-      Some (Corrupt (Bstats.Rng.next_u64 rng))
     else None
   end
-
-let corrupt_throughput ~salt tp =
-  let rng = Bstats.Rng.create salt in
-  let factor = 0.25 +. (3.75 *. Bstats.Rng.float rng) in
-  (* keep the corruption visibly wrong: bound the factor away from 1 *)
-  let factor =
-    if factor > 0.8 && factor < 1.25 then factor +. 0.75 else factor
-  in
-  let corrupted = tp *. factor in
-  if corrupted = tp then tp +. 1.0 else corrupted

@@ -2,32 +2,30 @@
     substrate.
 
     The real BHive harness survives a hostile environment: worker
-    processes die on unmappable blocks, measurements stall under OS
-    interference, and hardware counters occasionally return garbage.
-    This module makes those failure modes first-class and {e exactly
-    reproducible}: whether a given profiling attempt crashes, stalls or
-    returns a corrupted timing is a pure function of the fault
-    configuration and the attempt's identity — the job fingerprint, the
-    attempt number, and the trial index within the attempt. Nothing
-    depends on wall time, worker count or scheduling order, which is
-    what lets the engine's recovery machinery promise byte-identical
-    output under any fault seed (for recoverable fault rates).
+    processes die on unmappable blocks and measurements stall under OS
+    interference. This module makes those failure modes first-class and
+    {e exactly reproducible}: whether a given profiling attempt crashes
+    or stalls is a pure function of the fault configuration and the
+    attempt's identity — the job fingerprint and the attempt number.
+    Nothing depends on wall time, worker count or scheduling order,
+    which is what lets the engine's recovery machinery promise
+    byte-identical output under any fault seed (for recoverable fault
+    rates). Faults only delay or deny a measurement; none changes the
+    value of one, so an accepted result is always the fault-free one.
 
     Configuration comes from the [BHIVE_FAULTS] environment variable
     (or the [--faults] CLI flag), a comma-separated key=value spec:
 
-    {v BHIVE_FAULTS=crash=0.01,stall=0.005,corrupt=0.002,seed=42 v}
+    {v BHIVE_FAULTS=crash=0.01,stall=0.005,seed=42 v}
 
     Unset keys default to rate 0 / seed 0; the empty string and unset
     variable both mean "no faults". *)
 
 type config = {
-  crash : float;  (** per-trial probability the worker domain dies *)
+  crash : float;  (** per-attempt probability the worker domain dies *)
   stall : float;
-      (** per-trial probability of a simulated-clock stall; whether the
-          stall exceeds the job deadline is the engine's decision *)
-  corrupt : float;
-      (** per-trial probability the returned timing is corrupted *)
+      (** per-attempt probability of a simulated-clock stall; whether
+          the stall exceeds the job deadline is the engine's decision *)
   seed : int64;  (** fault-stream seed; independent of the noise seed *)
 }
 
@@ -37,9 +35,9 @@ val none : config
 
 val is_none : config -> bool
 
-(** Parse a [crash=..,stall=..,corrupt=..,seed=..] spec. Rates must be
-    in [0, 1]; unknown keys and malformed values are errors. The empty
-    string parses to {!none}. *)
+(** Parse a [crash=..,stall=..,seed=..] spec. Rates must be in [0, 1];
+    unknown keys (including the removed [corrupt]) and malformed values
+    are errors. The empty string parses to {!none}. *)
 val parse : string -> (config, string) result
 
 (** Canonical spec string: [parse (to_string c) = Ok c]. *)
@@ -62,20 +60,10 @@ type fault =
   | Stall of int
       (** the measurement hangs for this many {e simulated}
           milliseconds (25–400); no wall-clock time passes *)
-  | Corrupt of int64
-      (** the timing comes back corrupted; the payload seeds the
-          corruption so distinct trials corrupt differently *)
 
 val fault_to_string : fault -> string
 
-(** [draw cfg ~fingerprint ~attempt ~trial] decides deterministically
-    whether this trial faults. Fault classes are checked in order
-    crash, stall, corrupt — at most one fires per trial. *)
-val draw :
-  config -> fingerprint:string -> attempt:int -> trial:int -> fault option
-
-(** Corrupt a measured throughput: scales it by a salt-derived factor
-    in [0.25, 4] bounded away from 1, so a corrupted value never equals
-    the clean one and two different salts essentially never agree —
-    which is what quorum voting relies on to outvote corruption. *)
-val corrupt_throughput : salt:int64 -> float -> float
+(** [draw cfg ~fingerprint ~attempt] decides deterministically whether
+    this attempt faults. Fault classes are checked in order crash,
+    stall — at most one fires per attempt. *)
+val draw : config -> fingerprint:string -> attempt:int -> fault option

@@ -40,7 +40,6 @@ type overrides = {
   o_store : string option;
   o_faults : Faultsim.config option;
   o_max_retries : int option;
-  o_quorum : int option;
 }
 
 let no_overrides =
@@ -49,7 +48,6 @@ let no_overrides =
     o_store = None;
     o_faults = None;
     o_max_retries = None;
-    o_quorum = None;
   }
 
 type outcome = {
@@ -691,8 +689,7 @@ let resolve_execution (spec : Spec.t) overrides =
     ( first_some [ overrides.o_jobs; env_jobs; spec.jobs ],
       first_some [ overrides.o_store; env_store; spec.store ],
       first_some [ overrides.o_faults; env_faults; spec.faults ],
-      first_some [ overrides.o_max_retries; spec.policy.max_retries ],
-      first_some [ overrides.o_quorum; spec.policy.quorum ] )
+      first_some [ overrides.o_max_retries; spec.policy.max_retries ] )
 
 let run ?(overrides = no_overrides) ?(fresh = false) ?max_sections
     ?kill_after_jobs ?(out = Format.std_formatter)
@@ -702,7 +699,7 @@ let run ?(overrides = no_overrides) ?(fresh = false) ?max_sections
   let* () = Spec.validate_outputs spec in
   let manifest_id = Spec.id spec in
   let experiment_id = Spec.experiment_id spec in
-  let* jobs, store_path, faults, max_retries, quorum =
+  let* jobs, store_path, faults, max_retries =
     resolve_execution spec overrides
   in
   let progress =
@@ -716,7 +713,7 @@ let run ?(overrides = no_overrides) ?(fresh = false) ?max_sections
           if !count >= n then raise Killed)
   in
   let engine =
-    Engine.create ?jobs ?progress ?faults ?store_path ?max_retries ?quorum ()
+    Engine.create ?jobs ?progress ?faults ?store_path ?max_retries ()
   in
   let* journal =
     match spec.output.journal with

@@ -44,7 +44,7 @@ type filters = {
   context_switch_rate : float option;  (** injected timing noise *)
 }
 
-type policy = { max_retries : int option; quorum : int option }
+type policy = { max_retries : int option }
 
 type output = {
   summary : string option;  (** bench_summary.json path *)
@@ -118,7 +118,7 @@ let default_filters =
     context_switch_rate = None;
   }
 
-let default_policy = { max_retries = None; quorum = None }
+let default_policy = { max_retries = None }
 
 let default_output =
   {
@@ -328,7 +328,9 @@ let id t =
   add_experiment buf t;
   Codec.str buf t.name;
   Codec.option buf Codec.int t.policy.max_retries;
-  Codec.option buf Codec.int t.policy.quorum;
+  (* the slot of the removed policy.quorum, always absent, so ids of
+     manifests written before its removal do not move *)
+  Codec.option buf Codec.int None;
   Codec.option buf
     (fun b f -> Codec.str b (Faultsim.to_string f))
     t.faults;
@@ -421,9 +423,7 @@ let to_json t =
   let strings l = Json.List (List.map (fun s -> Json.String s) l) in
   let filters = filters_to_json t.filters in
   let policy =
-    Json.Object
-      (opt "max_retries" num t.policy.max_retries
-      @ opt "quorum" num t.policy.quorum)
+    Json.Object (opt "max_retries" num t.policy.max_retries)
   in
   let output =
     Json.Object
@@ -574,7 +574,11 @@ let of_json j =
       match Json.member "policy" j with
       | None -> default_policy
       | Some p ->
-        { max_retries = int_field "max_retries" p; quorum = int_field "quorum" p }
+        if Json.member "quorum" p <> None then
+          fail
+            "manifest: policy.quorum was removed (quorum voting no longer \
+             exists); delete the key";
+        { max_retries = int_field "max_retries" p }
     in
     let faults =
       match str_field "faults" j with
@@ -662,11 +666,6 @@ let validate t =
   let* () =
     match t.policy.max_retries with
     | Some n when n < 0 -> err "manifest %s: max_retries must be >= 0" t.name
-    | _ -> Ok ()
-  in
-  let* () =
-    match t.policy.quorum with
-    | Some n when n < 1 -> err "manifest %s: quorum must be >= 1" t.name
     | _ -> Ok ()
   in
   let* () =

@@ -16,10 +16,6 @@ let unmap t vpn = Hashtbl.remove t.entries vpn
 
 let unmap_all t = Hashtbl.reset t.entries
 
-let mapped_pages t =
-  Hashtbl.fold (fun vpn pfn acc -> (vpn, pfn) :: acc) t.entries []
-  |> List.sort compare
-
 let count t = Hashtbl.length t.entries
 
 (* Number of distinct physical frames currently mapped; equals 1 when the

@@ -13,7 +13,6 @@ type t =
   | Mem of mem
 
 let imm i = Imm i
-let immi i = Imm (Int64.of_int i)
 let reg r = Reg r
 
 let mem ?base ?index ?(scale = 1) ?(disp = 0L) () =
@@ -51,12 +50,6 @@ let equal a b =
 let mem_regs (m : mem) =
   let add acc = function Some r -> r :: acc | None -> acc in
   add (add [] m.index) m.base
-
-(* Registers this operand reads when used as a source. *)
-let source_regs = function
-  | Imm _ -> []
-  | Reg r -> [ r ]
-  | Mem m -> mem_regs m
 
 let pp_mem fmt (m : mem) =
   (* AT&T: disp(base, index, scale); negative displacements print signed. *)

@@ -240,8 +240,6 @@ let eax = Gpr (RAX, D)
 let ebx = Gpr (RBX, D)
 let ecx = Gpr (RCX, D)
 let edx = Gpr (RDX, D)
-let esi = Gpr (RSI, D)
-let edi = Gpr (RDI, D)
 let ax = Gpr (RAX, W)
 let al = Gpr (RAX, B)
 let bl = Gpr (RBX, B)

@@ -154,11 +154,7 @@ let test_validate_errors () =
               { asm = "not asm at all %%"; uarch = "hsw"; with_models = false;
                 schedule = false });
        ])
-    "profile";
-  check_invalid "bad quorum"
-    { (s [ Spec.section Spec.Corpus_load ]) with
-      Spec.policy = { Spec.max_retries = None; quorum = Some 0 } }
-    "quorum"
+    "profile"
 
 let test_validate_outputs () =
   let bad = Filename.concat (Filename.get_temp_dir_name ()) "no-such-dir-bhive" in
@@ -186,7 +182,17 @@ let test_parse_errors () =
   in
   bad "not json" "{" "manifest";
   bad "wrong version" {|{"manifest_version": 99, "sections": []}|} "version";
-  bad "missing sections" {|{"manifest_version": 1}|} "section"
+  bad "missing sections" {|{"manifest_version": 1}|} "section";
+  (* quorum voting is gone: a manifest asking for it is refused, never
+     run without it, whatever the value *)
+  bad "policy.quorum 1"
+    {|{"manifest_version": 1, "policy": {"quorum": 1},
+       "sections": [{"kind": "corpus"}]}|}
+    "quorum";
+  bad "policy.quorum 3"
+    {|{"manifest_version": 1, "policy": {"quorum": 3},
+       "sections": [{"kind": "corpus"}]}|}
+    "quorum"
 
 (* --- crash-safe JSONL substrate --------------------------------------- *)
 
