@@ -438,11 +438,6 @@ let run socket concurrency repeat scale uarch deadline_ms batch manifest verify
     let rps =
       if wall_seconds > 0.0 then float_of_int total.ok /. wall_seconds else 0.0
     in
-    let store_counter name =
-      Option.bind server_stats (fun s -> Json.path [ "store"; name ] s)
-      |> Fun.flip Option.bind Json.number
-      |> Option.value ~default:0.0
-    in
     let histogram =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) total.batch_hist []
       |> List.sort compare
@@ -481,12 +476,6 @@ let run socket concurrency repeat scale uarch deadline_ms batch manifest verify
                  n "size" batch;
                  n "frames" total.frames;
                  ("histogram", Json.Object histogram);
-               ] );
-           ( "index_opens",
-             Json.Object
-               [
-                 f "persisted" (store_counter "index_persisted");
-                 f "scanned" (store_counter "index_scanned");
                ] );
            n "verified" verified;
            n "mismatches" mismatches;

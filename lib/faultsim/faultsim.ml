@@ -15,9 +15,14 @@ let none = { crash = 0.0; stall = 0.0; seed = 0L }
 let is_none c = c.crash = 0.0 && c.stall = 0.0
 
 let float_to_string f =
-  (* shortest round-trip-safe rendering, so to_string stays canonical *)
-  let s = Printf.sprintf "%.12g" f in
-  s
+  (* the first of %.12g/%.15g/%.17g that parses back to [f] (%.17g
+     always does), so to_string stays canonical and a rate that
+     round-trips at 12 digits keeps its bytes *)
+  let s12 = Printf.sprintf "%.12g" f in
+  if float_of_string s12 = f then s12
+  else
+    let s15 = Printf.sprintf "%.15g" f in
+    if float_of_string s15 = f then s15 else Printf.sprintf "%.17g" f
 
 let to_string c =
   Printf.sprintf "crash=%s,stall=%s,seed=%Ld" (float_to_string c.crash)

@@ -469,7 +469,29 @@ let bool_field name j =
 
 let require what = function Some v -> v | None -> fail "manifest: missing %s" what
 
-let section_of_json j =
+(* Refuse a key outside [allowed] in object [j], naming its path: a
+   misspelt setting must fail the parse, never run at its default. *)
+let check_keys path allowed j =
+  match j with
+  | Json.Object fields ->
+    List.iter
+      (fun (k, _) ->
+        if not (List.mem k allowed) then
+          fail "manifest: unknown key %s"
+            (if path = "" then k else path ^ "." ^ k))
+      fields
+  | _ -> ()
+
+let section_keys = function
+  | Corpus_dump _ -> [ "variant"; "app"; "limit"; "freq" ]
+  | Ablation_block _ -> [ "block" ]
+  | Composition _ -> [ "title" ]
+  | Dataset _ | Instruction_table _ | Port_mapping _ -> [ "uarch" ]
+  | Profile _ -> [ "uarch"; "asm"; "models"; "schedule" ]
+  | Refine _ -> [ "uarch"; "seed"; "edits"; "target_error"; "max_evals" ]
+  | _ -> []
+
+let section_of_json i j =
   let label = str_field "label" j in
   let uarch () = require "section uarch" (str_field "uarch" j) in
   let kind =
@@ -524,6 +546,10 @@ let section_of_json j =
         }
     | k -> fail "manifest: unknown section kind %S" k
   in
+  check_keys
+    (Printf.sprintf "sections[%d]" i)
+    ("kind" :: "label" :: section_keys kind)
+    j;
   { label; kind }
 
 (* Raises [Failure] on malformed fields, like the rest of the parser;
@@ -545,9 +571,16 @@ let of_json j =
     | Some v when v = json_version -> ()
     | Some v -> fail "manifest: unsupported manifest_version %d (expected %d)" v json_version
     | None -> fail "manifest: missing manifest_version");
+    check_keys ""
+      [
+        "manifest_version"; "name"; "corpus"; "uarches"; "models"; "filters";
+        "policy"; "faults"; "jobs"; "store"; "output"; "sections";
+      ]
+      j;
     let corpus =
       match Json.member "corpus" j with
       | Some c ->
+        check_keys "corpus" [ "scale"; "seed" ] c;
         {
           scale = Option.value ~default:100 (int_field "scale" c);
           seed = Option.map Int64.of_float (num_field "seed" c);
@@ -568,7 +601,14 @@ let of_json j =
     let filters =
       match Json.member "filters" j with
       | None -> default_filters
-      | Some f -> filters_of_json f
+      | Some f ->
+        check_keys "filters"
+          [
+            "naive_unroll"; "min_clean"; "keep_underflow"; "keep_misaligned";
+            "context_switch_rate";
+          ]
+          f;
+        filters_of_json f
     in
     let policy =
       match Json.member "policy" j with
@@ -578,6 +618,7 @@ let of_json j =
           fail
             "manifest: policy.quorum was removed (quorum voting no longer \
              exists); delete the key";
+        check_keys "policy" [ "max_retries" ] p;
         { max_retries = int_field "max_retries" p }
     in
     let faults =
@@ -592,6 +633,9 @@ let of_json j =
       match Json.member "output" j with
       | None -> default_output
       | Some o ->
+        check_keys "output"
+          [ "summary"; "failures"; "journal"; "export_prefix" ]
+          o;
         {
           summary = str_field "summary" o;
           failures =
@@ -604,7 +648,7 @@ let of_json j =
     let sections =
       match Option.bind (Json.member "sections" j) Json.list_value with
       | None | Some [] -> fail "manifest: no sections"
-      | Some items -> List.map section_of_json items
+      | Some items -> List.mapi section_of_json items
     in
     Ok
       {

@@ -37,11 +37,8 @@ let equal (a : set) b = a = b
 let p0 = singleton 0
 let p1 = singleton 1
 let p2 = singleton 2
-let p3 = singleton 3
 let p4 = singleton 4
 let p5 = singleton 5
-let p6 = singleton 6
-let p7 = singleton 7
 let p01 = of_list [ 0; 1 ]
 let p05 = of_list [ 0; 5 ]
 let p06 = of_list [ 0; 6 ]

@@ -112,7 +112,6 @@ let set_vec t (r : Reg.t) (b : bytes) =
          (Reg.name r));
   Bytes.blit b 0 t.vec (vec_offset i) n
 
-let get_vec_u64 t i ~lane = Bytes.get_int64_le t.vec (vec_offset i + (8 * lane))
 let set_vec_u64 t i ~lane v = Bytes.set_int64_le t.vec (vec_offset i + (8 * lane)) v
 
 (* --- Initialisation -------------------------------------------------- *)

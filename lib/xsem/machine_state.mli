@@ -40,7 +40,6 @@ val get_vec : t -> X86.Reg.t -> bytes
 
 val set_vec : t -> X86.Reg.t -> bytes -> unit
 
-val get_vec_u64 : t -> int -> lane:int -> int64
 val set_vec_u64 : t -> int -> lane:int -> int64 -> unit
 
 (** BHive initialisation: every GPR holds [value], vector registers hold

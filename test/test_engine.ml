@@ -455,6 +455,15 @@ let test_faultsim_parse () =
     | Ok c' -> Alcotest.(check bool) "to_string round-trips" true (c = c')
     | Error msg -> Alcotest.fail msg)
   | Error msg -> Alcotest.fail msg);
+  (* a rate that needs all 17 significant digits still round-trips *)
+  let c = { Faultsim.none with crash = 0.1 +. 0.2 } in
+  Alcotest.(check string) "17-digit rate rendered exactly"
+    "crash=0.30000000000000004,stall=0,seed=0" (Faultsim.to_string c);
+  Alcotest.(check bool) "17-digit rate round-trips" true
+    (Faultsim.parse (Faultsim.to_string c) = Ok c);
+  Alcotest.(check bool) "differs from crash=0.3" true
+    (Faultsim.to_string c
+    <> Faultsim.to_string { Faultsim.none with crash = 0.3 });
   Alcotest.(check bool) "empty spec is none" true
     (Faultsim.parse "" = Ok Faultsim.none);
   Alcotest.(check bool) "'none' is none" true

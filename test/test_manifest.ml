@@ -192,7 +192,29 @@ let test_parse_errors () =
   bad "policy.quorum 3"
     {|{"manifest_version": 1, "policy": {"quorum": 3},
        "sections": [{"kind": "corpus"}]}|}
-    "quorum"
+    "quorum";
+  (* a misspelt or unknown key fails the parse, naming its path, at
+     every level: it must never run at the default it replaced *)
+  let with_ fields =
+    Printf.sprintf {|{"manifest_version": 1, %s "sections": [{"kind": "corpus"}]}|}
+      fields
+  in
+  bad "unknown top-level key" (with_ {|"bogus_top": 1,|}) "unknown key bogus_top";
+  bad "unknown corpus key" (with_ {|"corpus": {"scael": 400},|})
+    "unknown key corpus.scael";
+  bad "misspelt max_retries" (with_ {|"policy": {"max_retires": 0},|})
+    "unknown key policy.max_retires";
+  bad "unknown output key" (with_ {|"output": {"sumary": "s.json"},|})
+    "unknown key output.sumary";
+  bad "unknown filters key" (with_ {|"filters": {"min_cleen": 4},|})
+    "unknown key filters.min_cleen";
+  bad "unknown section key"
+    {|{"manifest_version": 1,
+       "sections": [{"kind": "corpus"}, {"kind": "dataset", "uarch": "hsw", "uarhc": "skl"}]}|}
+    "unknown key sections[1].uarhc";
+  bad "key of another section kind"
+    {|{"manifest_version": 1, "sections": [{"kind": "validate", "limit": 5}]}|}
+    "unknown key sections[0].limit"
 
 (* --- crash-safe JSONL substrate --------------------------------------- *)
 

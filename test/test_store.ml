@@ -277,242 +277,161 @@ let test_bitflip_detected () =
       Alcotest.(check int) "counted as a torn tail" 1 (Store.stats st).Store.s_torn;
       Store.close st)
 
-(* --- sidecar index crash safety --------------------------------------- *)
-
-let idx_file dir key = shard_file dir key ^ ".idx"
+(* --- stores that carry index files from an older writer --------------- *)
 
 let snapshot st =
   Store.fold st ~init:[] ~f:(fun acc ~key ~gen payload ->
       (key, gen, payload) :: acc)
   |> List.rev
 
-(* Three keys in one shard, written and closed; [reference] is what any
-   correct open must serve, however mangled the sidecar is. *)
-let with_indexed_shard prefix f =
-  with_store_dir prefix (fun dir ->
-      let shard0 = shard_of_key (key_of 0) in
-      let same_shard =
-        List.filter (fun i -> shard_of_key (key_of i) = shard0)
-          (List.init 400 Fun.id)
-      in
-      let keys =
-        match same_shard with
-        | a :: b :: c :: _ -> [ key_of a; key_of b; key_of c ]
-        | _ -> Alcotest.fail "could not find three keys in one shard"
-      in
-      let st = Store.open_ dir in
-      List.iteri
-        (fun i key ->
-          ignore (Store.put st ~key ~gen:gen_a (Printf.sprintf "payload-%d" i)))
-        keys;
-      let reference = snapshot st in
-      Store.close st;
-      f dir keys reference)
+(* (record offset, key, gen, payload length) for every record of a
+   segment image, in log order. *)
+let segment_records seg =
+  let b = Bytes.of_string seg in
+  let magic_len = String.length "BHIVESTORE1\n" in
+  let rec go off acc =
+    if off >= Bytes.length b then List.rev acc
+    else
+      let klen = Store.Codec.get_u16 b (off + 4) in
+      let glen = Store.Codec.get_u16 b (off + 6) in
+      let plen = Store.Codec.get_u32 b (off + 8) in
+      let key = Bytes.sub_string b (off + 12) klen in
+      let gen = Bytes.sub_string b (off + 12 + klen) glen in
+      go (off + 12 + klen + glen + plen + 8) ((off, key, gen, plen) :: acc)
+  in
+  go (magic_len + 4 + Store.Codec.get_u32 b magic_len) []
 
-let check_serves what dir keys reference =
-  let st = Store.open_ dir in
-  Alcotest.(check bool) (what ^ ": records byte-identical") true
-    (snapshot st = reference);
-  List.iteri
-    (fun i key ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: key %d served" what i)
-        true
-        (Store.get st ~key ~gen:gen_a = Store.Hit (Printf.sprintf "payload-%d" i)))
-    keys;
-  let v = Store.verify st in
-  Alcotest.(check int) (what ^ ": verify clean") 0 v.Store.v_corrupt;
-  Alcotest.(check int) (what ^ ": index agrees after heal") 0
-    v.Store.v_index_mismatched;
-  Store.close st
+(* An index file in the layout older stores kept beside each segment:
+   a "BHIVEIDX1\n" + format-tag header, then per record
+   u32 magic | i64 record offset | u16 key_len | u16 gen_len
+   | u32 payload_len | key | gen | u64 FNV-1a of the entry. *)
+let old_index_file records =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "BHIVEIDX1\n";
+  Store.Codec.str buf
+    (Printf.sprintf "marshal/%s/%d" Sys.ocaml_version Sys.word_size);
+  List.iter
+    (fun (off, key, gen, plen) ->
+      let e = Buffer.create 128 in
+      Store.Codec.u32 e 0xB17E1DE5;
+      Store.Codec.i64 e (Int64.of_int off);
+      Store.Codec.u16 e (String.length key);
+      Store.Codec.u16 e (String.length gen);
+      Store.Codec.u32 e plen;
+      Buffer.add_string e key;
+      Buffer.add_string e gen;
+      Store.Codec.i64 e (Store.Codec.fnv1a64 (Buffer.contents e));
+      Buffer.add_buffer buf e)
+    records;
+  Buffer.contents buf
 
-let test_sidecar_persisted_open () =
-  with_store_dir "bhive_idx_open" (fun dir ->
+(* The index is derived from the segment scan alone, so index files an
+   older writer left beside the segments are never read, rewritten or
+   removed. Faithful, lagging, well-formed-but-lying and garbage files
+   all leave the served records byte-identical. *)
+let test_old_index_files_ignored () =
+  with_store_dir "bhive_store_old_idx" (fun dir ->
       let st = Store.open_ dir in
       for i = 0 to 63 do
-        ignore
-          (Store.put st ~key:(key_of i) ~gen:gen_a (Printf.sprintf "p%d" i))
-      done;
-      let reference = snapshot st in
-      Store.close st;
-      let st = Store.open_ dir in
-      let s = Store.stats st in
-      Alcotest.(check bool) "some shard opened from its sidecar" true
-        (s.Store.s_index_persisted > 0);
-      List.iter
-        (fun ss ->
-          if ss.Store.ss_records > 0 then
-            Alcotest.(check bool)
-              (Printf.sprintf "shard %d used its persisted index"
-                 ss.Store.ss_shard)
-              true ss.Store.ss_persisted)
-        s.Store.s_per_shard;
-      Alcotest.(check bool) "persisted open serves identical records" true
-        (snapshot st = reference);
-      Alcotest.(check bool) "warm get hits" true
-        (Store.get st ~key:(key_of 5) ~gen:gen_a = Store.Hit "p5");
-      let v = Store.verify st in
-      Alcotest.(check bool) "verify checked the sidecar entries" true
-        (v.Store.v_index_entries >= 64);
-      Alcotest.(check int) "verify: no index disagreement" 0
-        v.Store.v_index_mismatched;
-      Alcotest.(check int) "verify: no index gaps" 0 v.Store.v_index_missing;
-      Store.close st)
-
-(* The satellite matrix: truncate the sidecar at every byte offset and
-   flip a bit at every byte offset. Whatever the damage, the open must
-   degrade to the segment scan (or heal the tail) and serve exactly the
-   intact store's records — corruption costs open time, never answers. *)
-let test_sidecar_truncation_at_every_offset () =
-  with_indexed_shard "bhive_idx_torn" (fun dir keys reference ->
-      let idx = idx_file dir (List.hd keys) in
-      let intact = read_file idx in
-      for cut = 0 to String.length intact - 1 do
-        write_file idx (String.sub intact 0 cut);
-        check_serves (Printf.sprintf "idx cut@%d" cut) dir keys reference
-      done;
-      (* a missing sidecar entirely *)
-      Sys.remove idx;
-      check_serves "idx removed" dir keys reference;
-      (* the heal rewrote it: the next open is persisted again *)
-      let st = Store.open_ dir in
-      Alcotest.(check bool) "healed sidecar used on the next open" true
-        ((Store.stats st).Store.s_index_persisted > 0);
-      Store.close st)
-
-let test_sidecar_bitflip_at_every_offset () =
-  with_indexed_shard "bhive_idx_flip" (fun dir keys reference ->
-      let idx = idx_file dir (List.hd keys) in
-      let intact = read_file idx in
-      for pos = 0 to String.length intact - 1 do
-        let b = Bytes.of_string intact in
-        Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
-        write_file idx (Bytes.to_string b);
-        check_serves (Printf.sprintf "idx flip@%d" pos) dir keys reference
-      done)
-
-(* A SIGKILL can land between the segment append and the sidecar
-   append: the segment holds a record its sidecar does not know about.
-   The open must notice the unindexed suffix, scan it, serve it, and
-   heal the sidecar. Simulated by chopping whole entries off the tail
-   (the write ordering — segment first, sidecar second — makes this
-   exactly the on-disk state such a crash leaves). *)
-let test_sidecar_lagging_entries_healed () =
-  with_indexed_shard "bhive_idx_lag" (fun dir keys reference ->
-      let idx = idx_file dir (List.hd keys) in
-      let intact = read_file idx in
-      (* entry sizes vary with key/gen length; find entry boundaries by
-         re-deriving them from the fixed layout: magic u32 | off i64 |
-         klen u16 | glen u16 | plen u32 | key | gen | fnv u64 *)
-      let header_len =
-        (* the header ends where the first entry magic begins *)
-        let magic =
-          let b = Buffer.create 4 in
-          Store.Codec.u32 b 0xB17E1DE5;
-          Buffer.contents b
-        in
-        let rec find i =
-          if i + 4 > String.length intact then
-            Alcotest.fail "no entry magic in sidecar"
-          else if String.sub intact i 4 = magic then i
-          else find (i + 1)
-        in
-        find 0
-      in
-      let entry_end off =
-        let s = Bytes.of_string intact in
-        let klen = Store.Codec.get_u16 s (off + 12) in
-        let glen = Store.Codec.get_u16 s (off + 14) in
-        off + 20 + klen + glen + 8
-      in
-      let boundaries =
-        let rec go off acc =
-          if off >= String.length intact then List.rev acc
-          else
-            let e = entry_end off in
-            go e (e :: acc)
-        in
-        go header_len [ header_len ]
-      in
-      Alcotest.(check int) "one boundary per record plus the header" 4
-        (List.length boundaries);
-      List.iter
-        (fun cut ->
-          write_file idx (String.sub intact 0 cut);
-          check_serves (Printf.sprintf "idx lag@%d" cut) dir keys reference;
-          (* after the heal, the very next open is persisted and still
-             byte-identical *)
-          let st = Store.open_ dir in
-          Alcotest.(check bool)
-            (Printf.sprintf "idx lag@%d: healed open is persisted" cut)
-            true
-            ((Store.stats st).Store.s_index_persisted > 0);
-          Alcotest.(check bool)
-            (Printf.sprintf "idx lag@%d: healed open identical" cut)
-            true
-            (snapshot st = reference);
-          Store.close st)
-        boundaries)
-
-let test_sidecar_torn_segment_with_index () =
-  (* both files torn (crash mid segment append after earlier indexed
-     records): open truncates the torn segment record AND drops the
-     sidecar entries past it *)
-  with_indexed_shard "bhive_idx_both" (fun dir keys _reference ->
-      let seg = shard_file dir (List.hd keys) in
-      let intact = read_file seg in
-      (* chop the final segment record in half *)
-      let st = Store.open_ dir in
-      let before_stats = Store.stats st in
-      Store.close st;
-      ignore before_stats;
-      write_file seg (String.sub intact 0 (String.length intact - 7));
-      let st = Store.open_ dir in
-      let survivors = List.filteri (fun i _ -> i < 2) keys in
-      List.iteri
-        (fun i key ->
-          Alcotest.(check bool)
-            (Printf.sprintf "torn-both: earlier key %d survives" i)
-            true
-            (Store.get st ~key ~gen:gen_a
-            = Store.Hit (Printf.sprintf "payload-%d" i)))
-        survivors;
-      Alcotest.(check bool) "torn-both: torn record never served" true
-        (Store.get st ~key:(List.nth keys 2) ~gen:gen_a = Store.Miss);
-      let v = Store.verify st in
-      Alcotest.(check int) "torn-both: verify clean" 0 v.Store.v_corrupt;
-      Alcotest.(check int) "torn-both: no index disagreement" 0
-        v.Store.v_index_mismatched;
-      Store.close st)
-
-let test_gc_rewrites_sidecar () =
-  with_store_dir "bhive_idx_gc" (fun dir ->
-      let st = Store.open_ dir in
-      for i = 0 to 31 do
         ignore (Store.put st ~key:(key_of i) ~gen:gen_a (Printf.sprintf "a%d" i))
       done;
-      for i = 0 to 15 do
+      for i = 0 to 7 do
         ignore (Store.put st ~key:(key_of i) ~gen:gen_b (Printf.sprintf "b%d" i))
       done;
-      ignore (Store.gc st);
-      let v = Store.verify st in
-      Alcotest.(check int) "gc'd sidecar agrees with the segments" 0
-        v.Store.v_index_mismatched;
       let reference = snapshot st in
       Store.close st;
-      (* the compacted store opens from its rewritten sidecars *)
-      let st = Store.open_ dir in
-      let s = Store.stats st in
-      List.iter
-        (fun ss ->
-          if ss.Store.ss_records > 0 then
+      let planted =
+        List.init Store.shard_count (fun i ->
+            let seg = Filename.concat dir (Printf.sprintf "seg-%02d.bhs" i) in
+            let records = segment_records (read_file seg) in
+            let contents =
+              match i mod 4 with
+              | 0 -> old_index_file records
+              | 1 -> old_index_file [ List.hd records ]
+              | 2 ->
+                (* every entry names the next record's key *)
+                let keys = List.map (fun (_, k, _, _) -> k) records in
+                let rotated = List.tl keys @ [ List.hd keys ] in
+                old_index_file
+                  (List.map2
+                     (fun (off, _, gen, plen) key -> (off, key, gen, plen))
+                     records rotated)
+              | _ -> String.init 97 (fun j -> Char.chr ((j * 37 + 11) land 0xFF))
+            in
+            let path = seg ^ ".idx" in
+            write_file path contents;
+            (path, contents))
+      in
+      let check_untouched what =
+        List.iter
+          (fun (path, contents) ->
             Alcotest.(check bool)
-              (Printf.sprintf "shard %d persisted after gc" ss.Store.ss_shard)
-              true ss.Store.ss_persisted)
-        s.Store.s_per_shard;
-      Alcotest.(check bool) "post-gc persisted open identical" true
+              (Printf.sprintf "%s: %s untouched" what (Filename.basename path))
+              true
+              (Sys.file_exists path && read_file path = contents))
+          planted
+      in
+      let st = Store.open_ dir in
+      Alcotest.(check bool) "records byte-identical" true
         (snapshot st = reference);
-      Store.close st)
+      for i = 0 to 63 do
+        let expect =
+          if i < 8 then Printf.sprintf "b%d" i else Printf.sprintf "a%d" i
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "key %d served" i)
+          true
+          (Store.get st ~key:(key_of i) ~gen:(if i < 8 then gen_b else gen_a)
+          = Store.Hit expect)
+      done;
+      let v = Store.verify st in
+      Alcotest.(check int) "verify: no corruption" 0 v.Store.v_corrupt;
+      Alcotest.(check int) "verify: no torn tail" 0 v.Store.v_torn;
+      Alcotest.(check int) "verify: every record scanned" 72 v.Store.v_records;
+      check_untouched "after open and verify";
+      ignore (Store.put st ~key:(key_of 64) ~gen:gen_a "late");
+      ignore (Store.gc st);
+      Store.close st;
+      let st = Store.open_ dir in
+      Alcotest.(check bool) "post-gc reopen serves the same records" true
+        (List.filter (fun (k, _, _) -> k <> key_of 64) (snapshot st)
+        = reference);
+      Alcotest.(check bool) "post-gc reopen serves the late record" true
+        (Store.get st ~key:(key_of 64) ~gen:gen_a = Store.Hit "late");
+      Store.close st;
+      check_untouched "after put, gc and reopen")
+
+(* A store directory holds nothing but segments and their lock files,
+   whatever mix of appends, supersedes, compactions and reopens made it. *)
+let test_layout_segments_and_locks_only () =
+  with_store_dir "bhive_store_layout" (fun dir ->
+      let st = Store.open_ dir in
+      for i = 0 to 31 do
+        ignore (Store.put st ~key:(key_of i) ~gen:gen_a "a")
+      done;
+      for i = 0 to 7 do
+        ignore (Store.put st ~key:(key_of i) ~gen:gen_b "b")
+      done;
+      ignore (Store.gc st);
+      Store.close st;
+      let st = Store.open_ dir in
+      ignore (Store.put st ~key:(key_of 40) ~gen:gen_a "late");
+      ignore (Store.gc st);
+      Store.close st;
+      let st = Store.open_ dir in
+      Store.close st;
+      let is_segment_or_lock name =
+        String.length name >= 10
+        && String.sub name 0 4 = "seg-"
+        && (String.sub name 6 (String.length name - 6) = ".bhs"
+           || String.sub name 6 (String.length name - 6) = ".bhs.lock")
+      in
+      Array.iter
+        (fun name ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s is a segment or a lock" name)
+            true (is_segment_or_lock name))
+        (Sys.readdir dir))
 
 (* --- compaction ------------------------------------------------------- *)
 
@@ -1120,18 +1039,10 @@ let suite =
       test_truncation_at_every_offset;
     Alcotest.test_case "crash safety: bit flip detected" `Quick
       test_bitflip_detected;
-    Alcotest.test_case "sidecar: persisted open" `Quick
-      test_sidecar_persisted_open;
-    Alcotest.test_case "sidecar: truncation at every offset" `Quick
-      test_sidecar_truncation_at_every_offset;
-    Alcotest.test_case "sidecar: bit flip at every offset" `Quick
-      test_sidecar_bitflip_at_every_offset;
-    Alcotest.test_case "sidecar: lagging entries healed" `Quick
-      test_sidecar_lagging_entries_healed;
-    Alcotest.test_case "sidecar: torn segment with index" `Quick
-      test_sidecar_torn_segment_with_index;
-    Alcotest.test_case "sidecar: gc rewrites the index" `Quick
-      test_gc_rewrites_sidecar;
+    Alcotest.test_case "old stores: index files ignored" `Quick
+      test_old_index_files_ignored;
+    Alcotest.test_case "layout: only segments and locks" `Quick
+      test_layout_segments_and_locks_only;
     Alcotest.test_case "gc: compaction" `Quick test_gc_compaction;
     Alcotest.test_case "gc: re-anchors the lock-free read fd" `Quick
       test_gc_reanchors_read_fd;
